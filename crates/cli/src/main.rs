@@ -992,7 +992,7 @@ fn observe(rest: &[String]) -> Result<(), CliError> {
     let snap = engine.metrics().snapshot();
     let (report, verdict) = match &baseline {
         Some(base) => {
-            let scored = analysis::score(base, &snap, Some(&recorder), &ScorerConfig::default());
+            let scored = analysis::score(base, &snap, Some(&recorder));
             let text = match format.as_str() {
                 "json" => analysis::anomaly::json(&scored),
                 "prom" => analysis::anomaly::prometheus(&scored),

@@ -84,12 +84,16 @@ pub mod prelude {
     pub use tesla_runtime::SocketSource;
     pub use tesla_runtime::{
         AnomalyReport, Baseline, BatchIngress, BufferedSource, ClassId, Config, ConfigError,
-        CountingHandler, DriveError, EventProducer, EventSource, EvictionPolicy, FailMode,
-        FaultKind, FaultLedger, FaultPlan, FaultSpec, FlightRecorder, Governor, GovernorConfig,
-        IngressError, IngressEvent, IngressEventRef, IngressStats, InitMode, InputError,
-        JsonlSource, MetricsRegistry, MetricsSnapshot, NameCache, NameId, RecordingHandler,
-        ScorerConfig, Tesla, TraceWriter, Violation, ViolationKind,
+        DriveError, EventProducer, EventSource, EvictionPolicy, FailMode, FaultKind, FaultLedger,
+        FaultPlan, FaultSpec, FlightRecorder, Governor, GovernorConfig, IngressError, IngressEvent,
+        IngressEventRef, IngressStats, InitMode, InputError, JsonlSource, MetricsRegistry,
+        MetricsSnapshot, NameCache, NameId, RecordingHandler, Tesla, TraceWriter, Violation,
+        ViolationKind,
     };
+    // The registry's old handler name, for the benchmark package (see
+    // `tesla_runtime::CountingHandler`).
+    #[doc(hidden)]
+    pub use tesla_runtime::CountingHandler;
     pub use tesla_spec::{
         atleast, call, field_assign, msg_send, parse_assertion, Assertion, AssertionBuilder,
         ExprBuilder, FieldOp, Value,

@@ -48,7 +48,7 @@ use tesla_instrument::{
     register_manifest_cached, static_check, unit_touch_set, weave_plan, AssertionReport,
     InstrStats, LintFinding, RecordingSink, RuntimeSink, StaticFinding, UnitTouchSet, WeavePlan,
 };
-use tesla_ir::opt::{optimise, InlineOptions};
+use tesla_ir::opt::optimise;
 use tesla_ir::verify::{verify, Stage};
 use tesla_ir::{Interp, Module};
 use tesla_runtime::{DriveError, EventSource, IngressStats, Tesla};
@@ -111,10 +111,9 @@ pub enum ReinstrumentPolicy {
 /// Build configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BuildOptions {
-    /// Run the TESLA analyser + instrumenter stages.
+    /// Run the TESLA analyser + instrumenter stages. Either way the
+    /// optimiser runs on every object, after instrumentation (§4.2).
     pub tesla: bool,
-    /// Run the optimiser (after instrumentation, §4.2).
-    pub optimise: bool,
     /// Incremental re-instrumentation policy.
     pub reinstrument: ReinstrumentPolicy,
     /// Verify units and the linked program. On in all three presets;
@@ -143,7 +142,6 @@ impl BuildOptions {
     pub fn default_toolchain() -> BuildOptions {
         BuildOptions {
             tesla: false,
-            optimise: true,
             reinstrument: ReinstrumentPolicy::Naive,
             verify: true,
             model_check: false,
@@ -156,7 +154,6 @@ impl BuildOptions {
     pub fn tesla_toolchain() -> BuildOptions {
         BuildOptions {
             tesla: true,
-            optimise: true,
             reinstrument: ReinstrumentPolicy::Naive,
             verify: true,
             model_check: false,
@@ -802,9 +799,7 @@ impl BuildSystem {
                     }
                 }
             }
-            if self.options.optimise {
-                optimise(&mut m, &InlineOptions::default());
-            }
+            optimise(&mut m);
             stats.object_bytes += emit_object(&m);
             let m = Arc::new(m);
             self.object_cache.insert(
@@ -850,15 +845,12 @@ impl BuildSystem {
         // workers read (pristine modules, manifest, plan) is immutable
         // here; results are folded back in unit order so error
         // reporting matches the serial toolchain.
-        let optimise_objects = self.options.optimise;
         let unit_cache = &self.unit_cache;
         let woven = parallel_map(stale, self.effective_jobs(), |(idx, file, src_fp, key)| {
             let mut m = unit_cache[&file].output.module.clone();
             let st = instrument_precompiled(&mut m, manifest, &plan, elided)
                 .map_err(BuildError::Instrument)?;
-            if optimise_objects {
-                optimise(&mut m, &InlineOptions::default());
-            }
+            optimise(&mut m);
             let object_bytes = emit_object(&m);
             Ok::<_, BuildError>((
                 idx,
@@ -1186,22 +1178,6 @@ mod tests {
         bs.build().unwrap();
         let art = bs.build().unwrap();
         assert_eq!(art.stats.compiled_units, 0);
-    }
-
-    #[test]
-    fn optimised_and_unoptimised_agree() {
-        for optimise in [false, true] {
-            let mut bs = BuildSystem::new(
-                two_unit_project(),
-                BuildOptions {
-                    optimise,
-                    ..BuildOptions::tesla_toolchain()
-                },
-            );
-            let art = bs.build().unwrap();
-            let t = Tesla::with_defaults();
-            assert_eq!(run_with_tesla(&art, &t, "main", &[7], 100_000).unwrap(), 8);
-        }
     }
 
     #[test]

@@ -12,32 +12,20 @@
 
 use crate::module::{Block, BlockId, Callee, Function, Inst, Module, Reg, Terminator};
 
-/// Inlining thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct InlineOptions {
-    /// Only functions with at most this many instructions are inlined.
-    pub max_insts: usize,
-    /// Only leaf-ish functions with at most this many blocks.
-    pub max_blocks: usize,
-}
+/// Only functions with at most this many instructions are inlined.
+pub const INLINE_MAX_INSTS: usize = 16;
 
-impl Default for InlineOptions {
-    fn default() -> InlineOptions {
-        InlineOptions {
-            max_insts: 16,
-            max_blocks: 3,
-        }
-    }
-}
+/// Only leaf-ish functions with at most this many blocks are inlined.
+pub const INLINE_MAX_BLOCKS: usize = 3;
 
 /// Is `f` small enough to inline, and free of constructs the simple
 /// inliner cannot relocate (instrumentation hooks pin a function)?
-fn inlinable(f: &Function, opts: &InlineOptions) -> bool {
-    if f.blocks.len() > opts.max_blocks {
+fn inlinable(f: &Function) -> bool {
+    if f.blocks.len() > INLINE_MAX_BLOCKS {
         return false;
     }
     let insts: usize = f.blocks.iter().map(|b| b.insts.len()).sum();
-    if insts > opts.max_insts {
+    if insts > INLINE_MAX_INSTS {
         return false;
     }
     f.blocks.iter().all(|b| {
@@ -67,20 +55,14 @@ pub struct OptStats {
 
 /// Run the optimiser over every function: inline small callees, then
 /// clean up.
-pub fn optimise(m: &mut Module, opts: &InlineOptions) -> OptStats {
+pub fn optimise(m: &mut Module) -> OptStats {
     let mut stats = OptStats::default();
     // Snapshot callee bodies to avoid self-referential borrows; only
     // small functions are candidates so this is cheap.
     let candidates: Vec<Option<Function>> = m
         .functions
         .iter()
-        .map(|f| {
-            if inlinable(f, opts) {
-                Some(f.clone())
-            } else {
-                None
-            }
-        })
+        .map(|f| if inlinable(f) { Some(f.clone()) } else { None })
         .collect();
     for f in &mut m.functions {
         stats.inlined_calls += inline_in_function(f, &candidates);
@@ -392,7 +374,7 @@ mod tests {
             let expected = (arg + 1).abs();
             assert_eq!(run(&m, arg), expected, "before opt, arg={arg}");
         }
-        let stats = optimise(&mut m, &InlineOptions::default());
+        let stats = optimise(&mut m);
         assert_eq!(stats.inlined_calls, 2);
         verify(&m, Stage::Linked).unwrap();
         for arg in [-10i64, -1, 0, 1, 41] {
@@ -404,7 +386,7 @@ mod tests {
     #[test]
     fn inlining_removes_call_instructions() {
         let mut m = program();
-        optimise(&mut m, &InlineOptions::default());
+        optimise(&mut m);
         let main = &m.functions[m.function("main").unwrap().0 as usize];
         let calls = main
             .blocks
@@ -423,7 +405,7 @@ mod tests {
         m.functions[add1.0 as usize].blocks[0]
             .insts
             .insert(0, Inst::TeslaHookEntry { func: add1 });
-        let stats = optimise(&mut m, &InlineOptions::default());
+        let stats = optimise(&mut m);
         // abs still inlines; add1 must not.
         assert_eq!(stats.inlined_calls, 1);
         let main = &m.functions[m.function("main").unwrap().0 as usize];
@@ -448,20 +430,36 @@ mod tests {
         });
         mb.add_function(f.finish(Terminator::Ret(Some(r))));
         let mut m = mb.build();
-        let stats = optimise(&mut m, &InlineOptions::default());
+        let stats = optimise(&mut m);
         assert_eq!(stats.inlined_calls, 0);
     }
 
+    /// The size limit: a callee of [`INLINE_MAX_INSTS`] instructions
+    /// inlines, one of an instruction more does not.
     #[test]
     fn threshold_controls_inlining() {
-        let mut m = program();
-        let stats = optimise(
-            &mut m,
-            &InlineOptions {
-                max_insts: 0,
-                max_blocks: 1,
-            },
-        );
-        assert_eq!(stats.inlined_calls, 0);
+        for (insts, inlined) in [(INLINE_MAX_INSTS, 1), (INLINE_MAX_INSTS + 1, 0)] {
+            let mut mb = ModuleBuilder::new("m");
+            let mut f = mb.begin_function("chain", 1);
+            let mut r = f.param(0);
+            for _ in 0..insts {
+                let next = f.fresh();
+                f.inst(Inst::Copy { dst: next, src: r });
+                r = next;
+            }
+            let chain = mb.add_function(f.finish(Terminator::Ret(Some(r))));
+            let mut f = mb.begin_function("main", 1);
+            let out = f.fresh();
+            f.inst(Inst::Call {
+                dst: Some(out),
+                callee: Callee::Direct(chain),
+                args: vec![f.param(0)],
+            });
+            mb.add_function(f.finish(Terminator::Ret(Some(out))));
+            let mut m = mb.build();
+            let stats = optimise(&mut m);
+            assert_eq!(stats.inlined_calls, inlined, "{insts} instructions");
+            assert_eq!(run(&m, 7), 7);
+        }
     }
 }

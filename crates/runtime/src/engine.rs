@@ -32,9 +32,9 @@
 //!   list and each group's materialised list keep their buffers from
 //!   one bound epoch to the next (`tests/hot_path.rs` counts).
 //! * **Sharded Global store** — the Global-context store is striped
-//!   over [`Config::global_shards`] mutexes. A bound group (and every
-//!   class in it) maps deterministically to one shard
-//!   (`group % n_shards`), so threads driving disjoint bound groups
+//!   over [`GLOBAL_SHARDS`] mutexes. A bound group (and every class in
+//!   it) maps deterministically to one shard
+//!   (`group % GLOBAL_SHARDS`), so threads driving disjoint bound groups
 //!   never contend, and a contended group only serialises its own
 //!   shard, not all Global state.
 //! * **Per-thread handles** — each thread caches its store, shadow
@@ -106,11 +106,18 @@ pub enum FailMode {
     /// Violations are recorded (see [`Tesla::violations`]) and
     /// execution continues.
     Log,
-    /// Violations are recorded and then the hook panics — the
-    /// kernel-style `panic()` disposition of §4.4.2 for hosts that
-    /// cannot thread a `Result` out of instrumented code.
-    Panic,
 }
+
+/// Mutex stripes over the Global-context store. Each bound group maps
+/// to shard `group % GLOBAL_SHARDS`; threads touching groups on
+/// different shards never contend.
+pub const GLOBAL_SHARDS: usize = 8;
+
+/// Degraded-mode shed rate: once a class has evicted under
+/// [`Config::max_instances`], one in every `DEGRADED_SAMPLE` further
+/// clones for it is dropped (with a [`crate::LifecycleEvent::Shed`]
+/// event) until the bound epoch ends.
+pub const DEGRADED_SAMPLE: u32 = 4;
 
 /// What happens when a class's live-instance quota
 /// ([`Config::max_instances`]) is full and another clone arrives.
@@ -133,14 +140,10 @@ pub enum EvictionPolicy {
 /// zero-capacity store deep inside a hook).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `global_shards` was 0 — the shard index is `group % shards`.
-    ZeroGlobalShards,
     /// `instance_capacity` was 0 — no class could ever materialise.
     ZeroInstanceCapacity,
     /// `max_instances` was `Some(0)` — every instance would be shed.
     ZeroMaxInstances,
-    /// `degraded_sample` was 0 — the shed sampler divides by it.
-    ZeroDegradedSample,
     /// The governor SLO was at or below 1.0× — no instrumented run
     /// can hold an overhead below "no overhead at all".
     GovernorSlo,
@@ -154,15 +157,11 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroGlobalShards => write!(f, "global_shards must be at least 1"),
             ConfigError::ZeroInstanceCapacity => {
                 write!(f, "instance_capacity must be at least 1")
             }
             ConfigError::ZeroMaxInstances => {
                 write!(f, "max_instances, when set, must be at least 1")
-            }
-            ConfigError::ZeroDegradedSample => {
-                write!(f, "degraded_sample must be at least 1")
             }
             ConfigError::GovernorSlo => {
                 write!(
@@ -202,10 +201,6 @@ pub struct Config {
     /// Instance-table capacity per class per store (§4.4.1
     /// preallocation).
     pub instance_capacity: usize,
-    /// Number of mutex stripes over the Global-context store. Each
-    /// bound group maps to one shard; threads touching disjoint
-    /// groups never contend. Clamped to at least 1.
-    pub global_shards: usize,
     /// Enable telemetry: the engine attaches its
     /// [`MetricsRegistry`] as a lifecycle handler and times every
     /// instrumentation hook into its latency histograms. The
@@ -219,11 +214,6 @@ pub struct Config {
     pub max_instances: Option<usize>,
     /// Disposition when the quota is full and another clone arrives.
     pub eviction: EvictionPolicy,
-    /// Degraded-mode shed rate: once a class has evicted, one in
-    /// every `degraded_sample` subsequent clones for it is dropped
-    /// (with a [`crate::LifecycleEvent::Shed`] event) until the bound
-    /// epoch ends. Must be at least 1.
-    pub degraded_sample: u32,
     /// Optional seeded fault-injection plan (chaos testing). The
     /// engine draws from it at every fault's absorption site; `None`
     /// costs one branch per site.
@@ -247,11 +237,9 @@ impl Default for Config {
             fail_mode: FailMode::FailStop,
             init_mode: InitMode::Lazy,
             instance_capacity: 64,
-            global_shards: 8,
             telemetry: false,
             max_instances: None,
             eviction: EvictionPolicy::Error,
-            degraded_sample: 4,
             faults: None,
             governor: None,
             batch_size: 256,
@@ -286,8 +274,6 @@ pub struct ClassDef {
     pub quota: Option<usize>,
     /// Quota disposition ([`Config::eviction`]).
     pub eviction: EvictionPolicy,
-    /// Degraded-mode shed rate ([`Config::degraded_sample`]).
-    pub degraded_sample: u32,
 }
 
 impl ClassDef {
@@ -580,9 +566,7 @@ impl<V> Event<V> {
 /// held guard: a run of events against one bound group pays one lock
 /// acquisition, not one per store access. [`Tesla::dispatch_batch`]
 /// turns coalescing off under a fault plan, whose lock-poison fault
-/// is drawn at every acquisition, and under [`FailMode::Panic`],
-/// whose dispose would otherwise unwind while the guard is held and
-/// poison the shard.
+/// is drawn at every acquisition.
 struct ShardCache<'a> {
     coalesce: bool,
     shard: usize,
@@ -619,10 +603,10 @@ pub struct Tesla {
     /// load.
     snap_version: AtomicU64,
     /// Striped Global-context stores; a bound group lives entirely in
-    /// shard `group % len`. The only locks whose poison flag is
-    /// cleared and counted (`lock_shard`): the lock-poison fault's
+    /// shard `group % GLOBAL_SHARDS`. The only locks whose poison flag
+    /// is cleared and counted (`lock_shard`): the lock-poison fault's
     /// absorption and the chaos harness read that count.
-    global_shards: Box<[Mutex<Store>]>,
+    global_shards: [Mutex<Store>; GLOBAL_SHARDS],
     violation_log: Mutex<Vec<Violation>>,
     /// The engine's metrics registry. Always present (so callers can
     /// plumb values like `sites_elided` unconditionally); only
@@ -661,25 +645,19 @@ impl Tesla {
     }
 
     /// Create an engine, validating the configuration's sizing limits
-    /// up front so a zero shard count (or any other zero-sized limit)
-    /// is a typed error here rather than a modulo-by-zero panic in
-    /// the first instrumentation hook.
+    /// up front so a zero-sized limit is a typed error here rather
+    /// than a panic or a dead store deep inside the first
+    /// instrumentation hook.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] naming the offending field.
     pub fn try_new(mut config: Config) -> Result<Tesla, ConfigError> {
-        if config.global_shards == 0 {
-            return Err(ConfigError::ZeroGlobalShards);
-        }
         if config.instance_capacity == 0 {
             return Err(ConfigError::ZeroInstanceCapacity);
         }
         if config.max_instances == Some(0) {
             return Err(ConfigError::ZeroMaxInstances);
-        }
-        if config.degraded_sample == 0 {
-            return Err(ConfigError::ZeroDegradedSample);
         }
         if config.batch_size == 0 {
             return Err(ConfigError::ZeroBatchSize);
@@ -695,7 +673,6 @@ impl Tesla {
             // telemetry: a governed engine is a telemetered engine.
             config.telemetry = true;
         }
-        let n_shards = config.global_shards;
         let governor = config.governor.map(|g| Arc::new(Governor::new(g)));
         let engine = Tesla {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
@@ -705,9 +682,7 @@ impl Tesla {
             // Start at 1: a fresh `EngineTls` (version 0) always
             // pulls the current snapshot on first use.
             snap_version: AtomicU64::new(1),
-            global_shards: (0..n_shards)
-                .map(|_| Mutex::new(Store::default()))
-                .collect(),
+            global_shards: std::array::from_fn(|_| Mutex::new(Store::default())),
             violation_log: Mutex::new(Vec::new()),
             metrics: Arc::new(MetricsRegistry::new()),
             governor,
@@ -1008,7 +983,6 @@ impl Tesla {
             guard_fns,
             quota: self.config.max_instances,
             eviction: self.config.eviction,
-            degraded_sample: self.config.degraded_sample,
         }));
         // Cold path: let aggregating handlers build their dense
         // per-class tables before any event for this class fires.
@@ -1098,13 +1072,11 @@ impl Tesla {
             }
             Ok(())
         };
-        // Release a held shard guard before the call's accounting, which
-        // runs here; the meter's drop accounts only a call that unwinds.
+        // Release a held shard guard before the call's accounting.
         drop(cache);
         if let Some(m) = &meter {
             m.record(sole);
         }
-        std::mem::forget(meter);
         out
     }
 
@@ -1496,18 +1468,16 @@ impl Tesla {
 
     /// Dispatch a staged batch: one call of the dispatch loop over all
     /// its events, with one snapshot load, one accounting for the
-    /// whole batch and — unless a fault plan is set or the mode is
-    /// [`FailMode::Panic`] — the Global store-shard lock held across
-    /// consecutive same-shard events instead of being re-taken per
-    /// store access.
+    /// whole batch and — unless a fault plan is set — the Global
+    /// store-shard lock held across consecutive same-shard events
+    /// instead of being re-taken per store access.
     ///
     /// Verdicts, violations and counters are those of the same events
     /// sent through the hooks in order, because both run the same
     /// loop: violations are logged and disposed per
     /// [`Config::fail_mode`], and the call stops at the first event
     /// that returns `Err` (fail-stop violations, unknown names). The
-    /// call is accounted when it ends, also on the error path and when
-    /// a [`FailMode::Panic`] dispose unwinds through it.
+    /// call is accounted when it ends, also on the error path.
     ///
     /// # Errors
     ///
@@ -1519,7 +1489,7 @@ impl Tesla {
             [only] => Some(only.kind()),
             _ => None,
         };
-        let coalesce = self.config.faults.is_none() && self.config.fail_mode != FailMode::Panic;
+        let coalesce = self.config.faults.is_none();
         self.deliver(batch.events(), |span| batch.slice(span), sole, coalesce)
     }
 
@@ -1661,7 +1631,6 @@ impl Tesla {
                 match self.config.fail_mode {
                     FailMode::FailStop => Err(v),
                     FailMode::Log => Ok(()),
-                    FailMode::Panic => panic!("{v}"),
                 }
             }
         }
@@ -1737,7 +1706,7 @@ impl Tesla {
     ) -> R {
         match ctx {
             Context::Global => {
-                let shard = group as usize % self.global_shards.len();
+                let shard = group as usize % GLOBAL_SHARDS;
                 if cache.coalesce {
                     if cache.guard.is_none() || cache.shard != shard {
                         // Drop the previous shard's guard before

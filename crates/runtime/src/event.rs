@@ -167,8 +167,6 @@ pub enum LifecycleEvent {
         from_instance: u32,
         /// New instance slot.
         to_instance: u32,
-        /// The newly bound variable values `(index, value)`.
-        bound: Vec<(usize, Value)>,
         /// NFA states after the transition.
         states: StateSet,
     },

@@ -4,22 +4,19 @@
 //! default handlers and support for user-provided handler callbacks."
 //! In userspace the default prints to stderr under the `TESLA_DEBUG`
 //! environment variable; in the FreeBSD kernel the default aggregates
-//! via DTrace. [`CountingHandler`] is our DTrace substitute: it
-//! aggregates per-transition counts that feed the weighted automaton
-//! graphs of fig. 9 and the logical-coverage reports. The heavier
-//! aggregation machinery (metrics registry, flight recorder) lives in
-//! [`crate::telemetry`] and plugs in through the same trait.
+//! via DTrace. Our DTrace substitute is the [`MetricsRegistry`]: it
+//! tallies the lifecycle events per class and counts the transitions
+//! that feed the weighted automaton graphs of fig. 9 and the
+//! logical-coverage reports. It and the flight recorder live in
+//! [`crate::telemetry`] and plug in through the same trait.
 
 use crate::event::LifecycleEvent;
 use crate::faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 use crate::locks;
-use crate::telemetry::weights::TransitionWeights;
 use crate::telemetry::{Governor, MetricsRegistry};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tesla_automata::{Automaton, StateSet, SymbolId};
+use tesla_automata::Automaton;
 
 /// A lifecycle-event observer. Handlers must be cheap and re-entrant;
 /// they are called from instrumentation hooks with store locks held.
@@ -170,41 +167,28 @@ impl EventHandler for StderrHandler {
     }
 }
 
-/// Records lifecycle events; used by tests and by the
+/// Records every lifecycle event; used by tests and by the
 /// trace-exploration workflows of §3.5.3 (the GNUstep investigation
 /// logged "detailed information about the events being delivered").
 ///
-/// [`RecordingHandler::new`] is unbounded — fine for tests, unsafe
-/// for production paths. Long-running workloads should use
-/// [`RecordingHandler::bounded`], which keeps the most recent
-/// `capacity` events and counts what it dropped (or the ring-buffer
-/// [`crate::telemetry::FlightRecorder`], which also drops the lock).
+/// The recorder is unbounded — fine for tests and short traces,
+/// unsafe for production paths. Long-running workloads use the
+/// bounded, lock-free [`crate::telemetry::FlightRecorder`], which
+/// keeps the most recent events of each thread.
 #[derive(Default)]
 pub struct RecordingHandler {
-    events: Mutex<VecDeque<LifecycleEvent>>,
-    capacity: Option<usize>,
-    dropped: AtomicU64,
+    events: Mutex<Vec<LifecycleEvent>>,
 }
 
 impl RecordingHandler {
-    /// New, empty, *unbounded* recorder (tests and short traces).
+    /// New, empty recorder.
     pub fn new() -> RecordingHandler {
         RecordingHandler::default()
     }
 
-    /// New recorder keeping only the most recent `capacity` events
-    /// (overwrite-oldest).
-    pub fn bounded(capacity: usize) -> RecordingHandler {
-        RecordingHandler {
-            events: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
-            capacity: Some(capacity.max(1)),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
     /// Snapshot of the recorded events, oldest first.
     pub fn events(&self) -> Vec<LifecycleEvent> {
-        locks::lock(&self.events).iter().cloned().collect()
+        locks::lock(&self.events).clone()
     }
 
     /// Number of retained events.
@@ -217,11 +201,6 @@ impl RecordingHandler {
         self.len() == 0
     }
 
-    /// Events discarded by the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     /// Drop all recorded events.
     pub fn clear(&self) {
         locks::lock(&self.events).clear();
@@ -230,164 +209,7 @@ impl RecordingHandler {
 
 impl EventHandler for RecordingHandler {
     fn on_event(&self, ev: &LifecycleEvent) {
-        let mut q = locks::lock(&self.events);
-        if let Some(cap) = self.capacity {
-            while q.len() >= cap {
-                q.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        q.push_back(ev.clone());
-    }
-}
-
-/// Aggregating handler: per-class lifecycle tallies and
-/// per-(class, state-set, symbol) transition counts — the data behind
-/// fig. 9's weighted graphs and "counting how often a transition is
-/// triggered" (§4.4.2). Because libtesla instances carry exact NFA
-/// state sets, the state-set key *is* the DFA state of the rendered
-/// graph.
-///
-/// Transition counts live in dense per-class atomic matrices built at
-/// registration time (see [`TransitionWeights`]); recording is a
-/// read-only index lookup plus one relaxed `fetch_add`, so the
-/// handler adds no locks to the engine's contention-free hot path.
-#[derive(Default)]
-pub struct CountingHandler {
-    news: AtomicU64,
-    clones: AtomicU64,
-    updates: AtomicU64,
-    errors: AtomicU64,
-    finalises_accepted: AtomicU64,
-    finalises_rejected: AtomicU64,
-    overflows: AtomicU64,
-    evictions: AtomicU64,
-    shed: AtomicU64,
-    weights: TransitionWeights,
-}
-
-impl CountingHandler {
-    /// New handler with zeroed tallies.
-    pub fn new() -> CountingHandler {
-        CountingHandler::default()
-    }
-
-    /// Total instance initialisations.
-    pub fn news(&self) -> u64 {
-        self.news.load(Ordering::Relaxed)
-    }
-
-    /// Total clones (variable specialisations).
-    pub fn clones(&self) -> u64 {
-        self.clones.load(Ordering::Relaxed)
-    }
-
-    /// Total state updates.
-    pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
-    }
-
-    /// Total violations observed.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Finalisations that were acceptances.
-    pub fn accepted(&self) -> u64 {
-        self.finalises_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Finalisations that were violations.
-    pub fn rejected(&self) -> u64 {
-        self.finalises_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Preallocation overflows.
-    pub fn overflows(&self) -> u64 {
-        self.overflows.load(Ordering::Relaxed)
-    }
-
-    /// Quota evictions (LRU policy).
-    pub fn evicted(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Clones shed by degraded mode.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// How often `class` took `sym` out of exactly the state set
-    /// `from` — a fig. 9 edge weight.
-    pub fn transition_count(&self, class: u32, from: StateSet, sym: SymbolId) -> u64 {
-        self.weights.count(class, &from, sym)
-    }
-
-    /// Sum of transition counts for `class` on `sym` over all source
-    /// state sets.
-    pub fn symbol_count(&self, class: u32, sym: SymbolId) -> u64 {
-        self.weights.symbol_count(class, sym)
-    }
-
-    /// Symbols of `class` that fired at least once — logical coverage
-    /// "like traditional code coverage analysis but at a logical …
-    /// level" (§4.4.2).
-    pub fn covered_symbols(&self, class: u32) -> Vec<SymbolId> {
-        self.weights.covered_symbols(class)
-    }
-
-    /// The underlying weight store, e.g. to fetch a class's dense
-    /// table as a `dot::WeightSource`.
-    pub fn weights(&self) -> &TransitionWeights {
-        &self.weights
-    }
-}
-
-impl EventHandler for CountingHandler {
-    fn on_event(&self, ev: &LifecycleEvent) {
-        match ev {
-            LifecycleEvent::New { .. } => {
-                self.news.fetch_add(1, Ordering::Relaxed);
-            }
-            LifecycleEvent::Clone { .. } => {
-                // A clone is also a transition of the specialised
-                // instance; the engine reports that transition via a
-                // paired Update, which is where it is counted.
-                self.clones.fetch_add(1, Ordering::Relaxed);
-            }
-            LifecycleEvent::Update {
-                class,
-                sym,
-                from_states,
-                ..
-            } => {
-                self.updates.fetch_add(1, Ordering::Relaxed);
-                self.weights.record(*class, from_states, *sym);
-            }
-            LifecycleEvent::Error { .. } => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            LifecycleEvent::Finalise { accepted, .. } => {
-                if *accepted {
-                    self.finalises_accepted.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.finalises_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            LifecycleEvent::Overflow { .. } => {
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-            }
-            LifecycleEvent::Evicted { .. } => {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            LifecycleEvent::Shed { .. } => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn on_register(&self, class: u32, automaton: &Automaton) {
-        self.weights.register(class, automaton);
+        locks::lock(&self.events).push(ev.clone());
     }
 }
 
@@ -415,6 +237,8 @@ impl<F: Fn(&LifecycleEvent) + Send + Sync> EventHandler for CallbackHandler<F> {
 mod tests {
     use super::*;
     use crate::event::{ViolationKind, ViolationRecord};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use tesla_automata::{StateSet, SymbolId};
     use tesla_spec::SourceLoc;
 
     fn update(class: u32, from: u32, sym: u32) -> LifecycleEvent {
@@ -427,9 +251,12 @@ mod tests {
         }
     }
 
+    // The three `counting_handler_*` tests build the registry through
+    // `crate::CountingHandler`, the name the benchmark's fan-out probe
+    // uses, so that alias stays covered.
     #[test]
     fn counting_handler_tallies() {
-        let h = CountingHandler::new();
+        let h = crate::CountingHandler::new();
         h.on_event(&LifecycleEvent::New {
             class: 0,
             instance: 0,
@@ -443,18 +270,18 @@ mod tests {
             accepted: true,
         });
         h.on_event(&LifecycleEvent::Overflow { class: 0 });
-        assert_eq!(h.news(), 1);
-        assert_eq!(h.updates(), 3);
-        assert_eq!(h.accepted(), 1);
-        assert_eq!(h.overflows(), 1);
-        assert_eq!(
-            h.transition_count(0, StateSet::singleton(0), SymbolId(1)),
-            2
-        );
-        assert_eq!(h.symbol_count(0, SymbolId(1)), 2);
-        assert_eq!(h.covered_symbols(0), vec![SymbolId(1), SymbolId(2)]);
+        let c = h.class(0).expect("class tallied");
+        assert_eq!(c.news(), 1);
+        assert_eq!(h.weights().class_total(0), 3);
+        assert_eq!(c.accepted(), 1);
+        assert_eq!(c.overflows(), 1);
+        let w = h.weights();
+        assert_eq!(w.count(0, &StateSet::singleton(0), SymbolId(1)), 2);
+        assert_eq!(w.symbol_count(0, SymbolId(1)), 2);
+        assert_eq!(w.covered_symbols(0), vec![SymbolId(1), SymbolId(2)]);
         // Other classes are unaffected.
-        assert_eq!(h.symbol_count(1, SymbolId(1)), 0);
+        assert_eq!(w.symbol_count(1, SymbolId(1)), 0);
+        assert_eq!(h.events_total(), 6);
     }
 
     #[test]
@@ -467,7 +294,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let h = CountingHandler::new();
+        let h = crate::CountingHandler::new();
         h.on_register(0, &a);
         let start = a.initial_states();
         h.on_event(&LifecycleEvent::Update {
@@ -477,10 +304,10 @@ mod tests {
             from_states: start,
             to_states: start,
         });
-        // Counts come back through the old API…
-        assert_eq!(h.transition_count(0, start, a.site_sym), 1);
-        // …and land in the dense table, whose rows are DOT state ids.
-        let cw = h.weights().class(0).expect("dense table installed");
+        assert_eq!(h.weights().count(0, &start, a.site_sym), 1);
+        // The count lands in the dense table, whose rows are DOT state
+        // ids.
+        let cw = h.weight_source(0).expect("dense table installed");
         assert_eq!(cw.nonzero().len(), 1);
     }
 
@@ -508,22 +335,6 @@ mod tests {
         assert!(matches!(evs[0], LifecycleEvent::New { class: 1, .. }));
         h.clear();
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn bounded_recording_handler_overwrites_oldest() {
-        let h = RecordingHandler::bounded(3);
-        for i in 0..5 {
-            h.on_event(&LifecycleEvent::New {
-                class: 0,
-                instance: i,
-            });
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.dropped(), 2);
-        let evs = h.events();
-        assert!(matches!(evs[0], LifecycleEvent::New { instance: 2, .. }));
-        assert!(matches!(evs[2], LifecycleEvent::New { instance: 4, .. }));
     }
 
     #[test]
@@ -594,15 +405,16 @@ mod tests {
 
     #[test]
     fn counting_handler_counts_evictions_and_shed() {
-        let h = CountingHandler::new();
+        let h = crate::CountingHandler::new();
         h.on_event(&LifecycleEvent::Evicted {
             class: 2,
             instance: 1,
         });
         h.on_event(&LifecycleEvent::Shed { class: 2 });
         h.on_event(&LifecycleEvent::Shed { class: 2 });
-        assert_eq!(h.evicted(), 1);
-        assert_eq!(h.shed(), 2);
+        let c = h.class(2).expect("class tallied");
+        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.shed(), 2);
     }
 
     #[test]

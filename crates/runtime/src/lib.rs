@@ -23,16 +23,15 @@
 //!   `(vp₁)`, `(vp₂)`, … as variable values are observed.
 //! * [`handlers`] — the pluggable event-notification framework
 //!   (§4.4.2): a stderr printer gated on the `TESLA_DEBUG`
-//!   environment variable, a counting/aggregating handler (the
-//!   DTrace-substitute) whose per-transition counts drive the
-//!   weighted automaton graphs of fig. 9, a recording handler for
-//!   tests and custom callbacks.
+//!   environment variable, an unbounded recording handler for tests
+//!   and custom callbacks.
 //! * [`telemetry`] — the observability layer (§4.4.2's DTrace
-//!   substitute): a lock-free metrics registry (per-class counters,
-//!   hook-latency histograms, live transition weights for fig. 9
-//!   graphs), a bounded per-thread flight recorder, and Prometheus /
-//!   JSON / chrome-trace exporters. Enabled per engine via
-//!   [`Config::telemetry`].
+//!   substitute): the lock-free metrics registry, the one aggregating
+//!   handler (per-class counters, hook-latency histograms, live
+//!   transition weights for fig. 9 graphs), a bounded per-thread
+//!   flight recorder, and Prometheus / JSON / chrome-trace exporters.
+//!   Attached per engine via [`Config::telemetry`], or to any engine
+//!   with [`Tesla::add_handler`].
 //! * [`faults`] — seeded deterministic fault injection
 //!   ([`FaultPlan`]): allocation failure, handler panics, clock skew,
 //!   event drop/duplication and shard-lock poisoning, drawn at the
@@ -100,7 +99,7 @@ pub mod telemetry;
 pub use engine::{ClassId, Config, ConfigError, EvictionPolicy, FailMode, InitMode, Tesla};
 pub use event::{LifecycleEvent, Violation, ViolationKind, ViolationRecord};
 pub use faults::{FaultKind, FaultLedger, FaultPlan, FaultSpec};
-pub use handlers::{CountingHandler, Dispatch, EventHandler, RecordingHandler, StderrHandler};
+pub use handlers::{Dispatch, EventHandler, RecordingHandler, StderrHandler};
 #[cfg(unix)]
 pub use ingress::SocketSource;
 pub use ingress::{
@@ -113,8 +112,15 @@ pub use scenario::{ArgValue, Step};
 pub use telemetry::{
     Anomaly, AnomalyCode, AnomalyReport, Baseline, ClassScore, FlightRecorder, Governor,
     GovernorConfig, GovernorDecision, HookKind, MetricsRegistry, MetricsSnapshot, RecordedEvent,
-    ScorerConfig, Welford,
+    Welford,
 };
+
+// The registry under the name of the aggregating handler it replaced.
+// Its one user is the benchmark package's handler fan-out probe
+// (`bench/src/probe.rs`), which builds outside this workspace; the
+// alias goes when the benchmark joins it.
+#[doc(hidden)]
+pub use telemetry::MetricsRegistry as CountingHandler;
 
 /// Maximum number of scope variables per assertion the runtime
 /// supports; instances store bindings in a fixed-size array so the

@@ -22,7 +22,7 @@
 //!   acceptance if its state set intersects the cleanup-safe set,
 //!   violation otherwise; then the table is expunged.
 
-use crate::engine::{ClassDef, EvictionPolicy};
+use crate::engine::{ClassDef, EvictionPolicy, DEGRADED_SAMPLE};
 use crate::event::{LifecycleEvent, Violation, ViolationKind};
 use crate::faults::FaultKind;
 use crate::handlers::Dispatch;
@@ -106,7 +106,7 @@ pub struct ClassState {
     /// misses are suppressed (they may be eviction artefacts). Reset
     /// at materialisation and finalisation.
     pub degraded: bool,
-    /// Degraded-mode clone counter driving the 1-in-`degraded_sample`
+    /// Degraded-mode clone counter driving the 1-in-[`DEGRADED_SAMPLE`]
     /// shed decision.
     pub shed_tick: u32,
 }
@@ -214,7 +214,7 @@ impl Store {
         self.groups[def.group as usize].materialized.push(class);
         // Events are built once and shared by every handler: handler
         // count must scale at the cost of a virtual call, not of
-        // re-materialising (and for clones, re-allocating) payloads.
+        // re-materialising payloads.
         d.notify(&LifecycleEvent::New {
             class,
             instance: slot,
@@ -360,7 +360,7 @@ impl Store {
             // we keep are tracked exactly.
             if cs.degraded {
                 cs.shed_tick = cs.shed_tick.wrapping_add(1);
-                if cs.shed_tick.is_multiple_of(def.degraded_sample) {
+                if cs.shed_tick.is_multiple_of(DEGRADED_SAMPLE) {
                     d.notify(&LifecycleEvent::Shed { class });
                     continue;
                 }
@@ -408,7 +408,6 @@ impl Store {
                         class,
                         from_instance: src,
                         to_instance: slot,
-                        bound: bindings.to_vec(),
                         states: clone.states,
                     });
                     d.notify(&LifecycleEvent::Update {
@@ -439,7 +438,6 @@ impl Store {
                         class,
                         from_instance: src,
                         to_instance: j as u32,
-                        bound: bindings.to_vec(),
                         states: clone.states,
                     });
                     d.notify(&LifecycleEvent::Update {

@@ -58,43 +58,32 @@ impl AnomalyCode {
     }
 }
 
-/// Scorer thresholds. The defaults are deliberately conservative:
-/// a healthy trace re-scored against its own baseline must stay
-/// flag-free (it scores exactly 0), and small-sample noise must not
-/// page anyone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScorerConfig {
-    /// L1 distance (×1000, range 0..=2000) above which a class is
-    /// flagged TESLA-A002.
-    pub l1_threshold_milli: u64,
-    /// Latency-regression factor (×1000): the live mean must exceed
-    /// `factor · baseline_mean` (as well as the `+3σ` and `+floor`
-    /// bars) to flag TESLA-A003.
-    pub latency_factor_milli: u64,
-    /// Absolute latency floor (ns) a regression must clear — guards
-    /// against flagging a 40 ns hook that "doubled" to 80 ns.
-    pub latency_floor_ns: u64,
-    /// Minimum latency samples (both sides) before TESLA-A003 is
-    /// considered.
-    pub min_latency_samples: u64,
-    /// Minimum live transitions in a class before it is scored.
-    pub min_class_events: u64,
-    /// Most recent flight-recorder events attached per finding.
-    pub evidence_events: usize,
-}
+// The scorer's thresholds are deliberately conservative: a healthy
+// trace re-scored against its own baseline must stay flag-free (it
+// scores exactly 0), and small-sample noise must not page anyone.
 
-impl Default for ScorerConfig {
-    fn default() -> ScorerConfig {
-        ScorerConfig {
-            l1_threshold_milli: 250,
-            latency_factor_milli: 2000,
-            latency_floor_ns: 100_000,
-            min_latency_samples: 32,
-            min_class_events: 4,
-            evidence_events: 32,
-        }
-    }
-}
+/// L1 distance (×1000, range 0..=2000) above which a class is flagged
+/// TESLA-A002.
+pub const L1_THRESHOLD_MILLI: u64 = 250;
+
+/// Latency-regression factor (×1000): the live mean must exceed
+/// `factor · baseline_mean` (as well as the `+3σ` and `+floor` bars)
+/// to flag TESLA-A003.
+pub const LATENCY_FACTOR_MILLI: u64 = 2000;
+
+/// Absolute latency floor (ns) a regression must clear — guards
+/// against flagging a 40 ns hook that "doubled" to 80 ns.
+pub const LATENCY_FLOOR_NS: u64 = 100_000;
+
+/// Minimum latency samples (both sides) before TESLA-A003 is
+/// considered.
+pub const MIN_LATENCY_SAMPLES: u64 = 32;
+
+/// Minimum live transitions in a class before it is scored.
+pub const MIN_CLASS_EVENTS: u64 = 4;
+
+/// Most recent flight-recorder events attached per finding.
+pub const EVIDENCE_EVENTS: usize = 32;
 
 /// One finding.
 #[derive(Debug, Clone)]
@@ -160,13 +149,12 @@ pub fn score(
     baseline: &Baseline,
     snap: &MetricsSnapshot,
     recorder: Option<&FlightRecorder>,
-    cfg: &ScorerConfig,
 ) -> AnomalyReport {
     let mut report = AnomalyReport::default();
     let recorded: Vec<RecordedEvent> = recorder.map(|r| r.snapshot()).unwrap_or_default();
     for c in &snap.classes {
         let live_total: u64 = c.transitions.iter().map(|t| t.count).sum();
-        if live_total < cfg.min_class_events {
+        if live_total < MIN_CLASS_EVENTS {
             continue;
         }
         let Some(base) = baseline.class(&c.name) else {
@@ -216,7 +204,7 @@ pub fn score(
                 .filter(|e| e.class == c.class)
                 .cloned()
                 .collect();
-            let skip = matching.len().saturating_sub(cfg.evidence_events);
+            let skip = matching.len().saturating_sub(EVIDENCE_EVENTS);
             matching.into_iter().skip(skip).collect()
         };
         if !novel.is_empty() {
@@ -241,7 +229,7 @@ pub fn score(
                 evidence: evidence(&recorded),
             });
         }
-        if l1_milli > cfg.l1_threshold_milli {
+        if l1_milli > L1_THRESHOLD_MILLI {
             report.anomalies.push(Anomaly {
                 code: AnomalyCode::WeightDivergence,
                 subject: c.name.clone(),
@@ -262,13 +250,13 @@ pub fn score(
         let Some(base) = baseline.hook(&h.hook) else {
             continue;
         };
-        if h.latency.count < cfg.min_latency_samples || base.samples < cfg.min_latency_samples {
+        if h.latency.count < MIN_LATENCY_SAMPLES || base.samples < MIN_LATENCY_SAMPLES {
             continue;
         }
         let live_mean = Welford::from_histogram(&h.latency).mean();
-        let bar = (base.mean_ns as f64 * cfg.latency_factor_milli as f64 / 1000.0)
+        let bar = (base.mean_ns as f64 * LATENCY_FACTOR_MILLI as f64 / 1000.0)
             .max(base.mean_ns as f64 + 3.0 * base.std_ns as f64)
-            .max(base.mean_ns as f64 + cfg.latency_floor_ns as f64);
+            .max(base.mean_ns as f64 + LATENCY_FLOOR_NS as f64);
         if live_mean > bar {
             let ratio_milli = to_milli(live_mean / base.mean_ns.max(1) as f64).max(1);
             report.anomalies.push(Anomaly {
@@ -488,7 +476,7 @@ mod tests {
             vec![],
         );
         let base = base_of(&snap);
-        let report = score(&base, &snap, None, &ScorerConfig::default());
+        let report = score(&base, &snap, None);
         assert!(report.is_clean(), "{:?}", report.anomalies);
         assert_eq!(report.classes_scored, 1);
         assert_eq!(report.class_scores[0].l1_milli, 0);
@@ -504,7 +492,7 @@ mod tests {
             vec![class_snap("p", vec![t(0, 1, 100), t(2, 3, 1)])],
             vec![],
         );
-        let report = score(&base, &live, None, &ScorerConfig::default());
+        let report = score(&base, &live, None);
         assert!(report
             .anomalies
             .iter()
@@ -524,7 +512,7 @@ mod tests {
             vec![class_snap("p", vec![t(0, 1, 10), t(1, 2, 90)])],
             vec![],
         );
-        let report = score(&base, &live, None, &ScorerConfig::default());
+        let report = score(&base, &live, None);
         let a002: Vec<_> = report
             .anomalies
             .iter()
@@ -557,14 +545,14 @@ mod tests {
         // Baseline around 2^9-ish ns; live around 2^21-ish ns.
         let base = base_of(&snap_with(vec![], vec![hook(10, 100)]));
         let live = snap_with(vec![], vec![hook(22, 100)]);
-        let report = score(&base, &live, None, &ScorerConfig::default());
+        let report = score(&base, &live, None);
         assert!(report
             .anomalies
             .iter()
             .any(|a| a.code == AnomalyCode::LatencyRegression));
         // Too few samples: no flag.
         let sparse = snap_with(vec![], vec![hook(22, 4)]);
-        let report = score(&base, &sparse, None, &ScorerConfig::default());
+        let report = score(&base, &sparse, None);
         assert!(report.is_clean());
     }
 
@@ -574,11 +562,11 @@ mod tests {
         let live = snap_with(
             vec![
                 class_snap("unknown-assertion", vec![t(0, 1, 50)]),
-                class_snap("p", vec![t(5, 5, 1)]), // below min_class_events
+                class_snap("p", vec![t(5, 5, 1)]), // below MIN_CLASS_EVENTS
             ],
             vec![],
         );
-        let report = score(&base, &live, None, &ScorerConfig::default());
+        let report = score(&base, &live, None);
         assert!(report.is_clean());
         assert_eq!(report.classes_unmatched, 1);
         assert_eq!(report.classes_scored, 0);
@@ -595,7 +583,7 @@ mod tests {
             vec![class_snap("p", vec![t(0, 1, 10), t(1, 2, 90)])],
             vec![],
         );
-        let report = score(&base, &live, None, &ScorerConfig::default());
+        let report = score(&base, &live, None);
         let prom = prometheus(&report);
         assert!(prom.contains("tesla_anomaly_class_l1_milli{class=\"p\"} 1600"));
         assert!(prom.contains("tesla_anomalies_total{code=\"TESLA-A002\"} 1"));

@@ -18,7 +18,7 @@ pub mod anomaly;
 pub mod baseline;
 pub mod governor;
 
-pub use anomaly::{score, Anomaly, AnomalyCode, AnomalyReport, ClassScore, ScorerConfig};
+pub use anomaly::{score, Anomaly, AnomalyCode, AnomalyReport, ClassScore};
 pub use baseline::{
     Baseline, BaselineEdge, ClassBaseline, HookBaseline, Welford, BASELINE_HEADER, BASELINE_VERSION,
 };

@@ -252,66 +252,7 @@ fn json_histogram(h: &HistogramSnapshot) -> String {
 
 /// Serialise a metrics snapshot as JSON.
 pub fn json(s: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"events_total\": {},", s.events_total);
-    let _ = writeln!(out, "  \"violations\": {},", s.violations);
-    let _ = writeln!(out, "  \"sites_elided\": {},", s.sites_elided);
-    let _ = writeln!(out, "  \"handler_panics\": {},", s.handler_panics);
-    let _ = writeln!(out, "  \"faults_absorbed\": {},", s.faults_absorbed);
-    let _ = writeln!(
-        out,
-        "  \"lock_poison_recoveries\": {},",
-        s.lock_poison_recoveries
-    );
-    let _ = writeln!(out, "  \"hooks\": [");
-    for (i, h) in s.hooks.iter().enumerate() {
-        let sep = if i + 1 == s.hooks.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"hook\":\"{}\",\"calls\":{},\"sample_period\":{},\"latency\":{}}}{sep}",
-            json_escape(&h.hook),
-            h.calls,
-            h.sample_period,
-            json_histogram(&h.latency)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"classes\": [");
-    for (i, c) in s.classes.iter().enumerate() {
-        let transitions: Vec<String> = c
-            .transitions
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"from_state\":{},\"symbol\":{},\"count\":{}}}",
-                    t.from_state, t.symbol, t.count
-                )
-            })
-            .collect();
-        let sep = if i + 1 == s.classes.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"class\":{},\"name\":\"{}\",\"news\":{},\"clones\":{},\"updates\":{},\
-             \"accepted\":{},\"rejected\":{},\"overflows\":{},\"evictions\":{},\"shed\":{},\
-             \"live\":{},\"high_watermark\":{},\"transitions\":[{}]}}{sep}",
-            c.class,
-            json_escape(&c.name),
-            c.news,
-            c.clones,
-            c.updates,
-            c.accepted,
-            c.rejected,
-            c.overflows,
-            c.evictions,
-            c.shed,
-            c.live,
-            c.high_watermark,
-            transitions.join(",")
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+    render_json(s, true)
 }
 
 /// Serialise the *deterministic* subset of a metrics snapshot as
@@ -323,6 +264,12 @@ pub fn json(s: &MetricsSnapshot) -> String {
 /// from this exporter, so `tesla run --metrics` / `tesla replay
 /// --metrics` files can be compared with a plain `diff`.
 pub fn json_counters(s: &MetricsSnapshot) -> String {
+    render_json(s, false)
+}
+
+/// The one JSON renderer behind [`json`] and [`json_counters`];
+/// `latency` adds each hook's sampling period and latency histogram.
+fn render_json(s: &MetricsSnapshot, latency: bool) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"events_total\": {},", s.events_total);
     let _ = writeln!(out, "  \"violations\": {},", s.violations);
@@ -337,12 +284,21 @@ pub fn json_counters(s: &MetricsSnapshot) -> String {
     let _ = writeln!(out, "  \"hooks\": [");
     for (i, h) in s.hooks.iter().enumerate() {
         let sep = if i + 1 == s.hooks.len() { "" } else { "," };
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "    {{\"hook\":\"{}\",\"calls\":{}}}{sep}",
+            "    {{\"hook\":\"{}\",\"calls\":{}",
             json_escape(&h.hook),
             h.calls
         );
+        if latency {
+            let _ = write!(
+                out,
+                ",\"sample_period\":{},\"latency\":{}",
+                h.sample_period,
+                json_histogram(&h.latency)
+            );
+        }
+        let _ = writeln!(out, "}}{sep}");
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"classes\": [");
@@ -636,11 +592,25 @@ mod tests {
 
     #[test]
     fn json_counters_is_valid_and_latency_free() {
-        let j = json_counters(&populated().snapshot());
+        let snap = populated().snapshot();
+        let j = json_counters(&snap);
         check_json(&j).unwrap();
         assert!(j.contains("\"events_total\": 2"));
         assert!(!j.contains("latency"), "{j}");
         assert!(!j.contains("sum_ns"), "{j}");
+        // The full document is the same bytes plus each hook's
+        // sampling period and latency histogram.
+        let full = json(&snap);
+        assert_eq!(full.lines().count(), j.lines().count());
+        for (f, c) in full.lines().zip(j.lines()) {
+            if c.starts_with("    {\"hook\":") {
+                let head = c.trim_end_matches(',').trim_end_matches('}');
+                assert!(f.starts_with(head), "{f}");
+                assert!(f[head.len()..].starts_with(",\"sample_period\":"), "{f}");
+            } else {
+                assert_eq!(f, c);
+            }
+        }
     }
 
     /// Build a snapshot whose every string field is attacker-chosen.

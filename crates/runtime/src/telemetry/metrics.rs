@@ -1,18 +1,21 @@
 //! The metrics registry: atomic counters and latency histograms.
 //!
-//! Everything on the recording path is a relaxed atomic operation on
-//! preallocated storage — no locks, no allocation — so attaching the
-//! registry preserves the engine's contention-free dispatch
-//! invariant. Aggregation (snapshots, export) walks the same atomics
+//! The registry is the runtime's one lifecycle tally: every reading
+//! of a class's counters, its transition weights and the violation
+//! count comes from here. Everything on the recording path of the
+//! first [`MAX_DENSE_CLASSES`] classes is a relaxed atomic operation
+//! on preallocated storage — no locks, no allocation after a class's
+//! first touch — so attaching the registry preserves the engine's
+//! contention-free dispatch invariant. Classes beyond them (rare: a
+//! class is one registered assertion) keep exact counters in a locked
+//! map. Aggregation (snapshots, export) walks the same atomics
 //! read-only and can run concurrently with recording.
 //!
 //! # Accounting a dispatch call
 //!
 //! Every call of the engine's dispatch loop — a direct hook's one
 //! event or a staged batch — is accounted by one rule, applied by its
-//! `CallMeter` as the call returns, or by the meter's drop when the
-//! call unwinds under [`crate::FailMode::Panic`], so that call is
-//! still counted:
+//! `CallMeter` as the call returns:
 //!
 //! * its events are counted with one striped RMW per hook kind that
 //!   occurred;
@@ -31,10 +34,12 @@
 
 use crate::event::LifecycleEvent;
 use crate::handlers::EventHandler;
+use crate::locks;
 use crate::telemetry::weights::{ClassWeights, TransitionWeights, MAX_DENSE_CLASSES};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tesla_automata::Automaton;
 
@@ -84,9 +89,8 @@ impl ThreadMeter {
 }
 
 /// The accounting of one dispatch call (see the module docs), held
-/// only when telemetry is on. A call that returns records through
-/// [`CallMeter::record`] and forgets the guard; one that unwinds
-/// records when the guard drops.
+/// only when telemetry is on; the call records it through
+/// [`CallMeter::record`] as it returns.
 pub(crate) struct CallMeter<'a> {
     registry: &'a MetricsRegistry,
     tl: &'a ThreadMeter,
@@ -122,10 +126,8 @@ impl<'a> CallMeter<'a> {
         self.tally[kind as usize] += 1;
     }
 
-    /// Record the call, given the `sole` kind it was started with. The
-    /// loop calls this in place as the call returns and then forgets
-    /// the guard: unlike drop glue, which the compiler keeps out of
-    /// line, this inlines, so a direct hook's accounting is one RMW
+    /// Record the call, given the `sole` kind it was started with. It
+    /// inlines into the loop, so a direct hook's accounting is one RMW
     /// and one countdown step for its constant kind.
     #[inline(always)]
     pub(crate) fn record(&self, sole: Option<HookKind>) {
@@ -143,14 +145,6 @@ impl<'a> CallMeter<'a> {
                 .record_kind(self.tl, kind, self.tally[kind as usize], ns),
             None => self.registry.record_call(self.tl, &self.tally, ns),
         }
-    }
-}
-
-/// A call that unwinds (a [`crate::FailMode::Panic`] dispose) is still
-/// counted.
-impl Drop for CallMeter<'_> {
-    fn drop(&mut self) {
-        self.record(None);
     }
 }
 
@@ -537,7 +531,12 @@ pub struct MetricsRegistry {
     /// [`LATENCY_SAMPLE_PERIOD`]; the overhead governor widens them
     /// to trade histogram resolution for timer cost.
     sample_period: [AtomicU32; N_HOOKS],
+    /// Counters of classes below [`MAX_DENSE_CLASSES`], one slot per
+    /// id, created on first touch.
     classes: Box<[OnceLock<Arc<ClassMetrics>>]>,
+    /// Counters of the classes from [`MAX_DENSE_CLASSES`] up, by id.
+    /// Empty, and unallocated, unless such a class is touched.
+    spilled: Mutex<BTreeMap<u32, Arc<ClassMetrics>>>,
     weights: TransitionWeights,
     violations: AtomicU64,
     sites_elided: AtomicU64,
@@ -564,6 +563,7 @@ impl MetricsRegistry {
             hook_latency: std::array::from_fn(|_| LatencyHistogram::new()),
             sample_period: std::array::from_fn(|_| AtomicU32::new(LATENCY_SAMPLE_PERIOD)),
             classes: (0..MAX_DENSE_CLASSES).map(|_| OnceLock::new()).collect(),
+            spilled: Mutex::new(BTreeMap::new()),
             weights: TransitionWeights::new(),
             violations: AtomicU64::new(0),
             sites_elided: AtomicU64::new(0),
@@ -657,17 +657,45 @@ impl MetricsRegistry {
 
     /// Counters for `class`, if any event or registration touched it.
     pub fn class(&self, class: u32) -> Option<Arc<ClassMetrics>> {
-        self.classes.get(class as usize)?.get().cloned()
+        match self.classes.get(class as usize) {
+            Some(slot) => slot.get().cloned(),
+            None => locks::lock(&self.spilled).get(&class).cloned(),
+        }
     }
 
-    /// Hot-path borrow of a class's counters: initialises the slot on
-    /// first touch, and never clones the `Arc` (two ref-count RMWs
-    /// per event would be pure overhead on the dispatch path).
+    /// Run `f` on `class`'s counters, creating them on first touch. A
+    /// dense id is one indexed load and never clones the `Arc` (two
+    /// ref-count RMWs per event would be pure overhead on the
+    /// dispatch path); a spilled id takes the map's lock.
     #[inline]
-    fn class_ref(&self, class: u32) -> Option<&ClassMetrics> {
-        self.classes
-            .get(class as usize)
-            .map(|slot| &**slot.get_or_init(|| Arc::new(ClassMetrics::new())))
+    fn with_class(&self, class: u32, f: impl FnOnce(&ClassMetrics)) {
+        match self.classes.get(class as usize) {
+            Some(slot) => f(slot.get_or_init(|| Arc::new(ClassMetrics::new()))),
+            None => f(&self.spilled_class(class)),
+        }
+    }
+
+    /// [`MetricsRegistry::with_class`] beyond the dense slots.
+    #[cold]
+    #[inline(never)]
+    fn spilled_class(&self, class: u32) -> Arc<ClassMetrics> {
+        Arc::clone(
+            locks::lock(&self.spilled)
+                .entry(class)
+                .or_insert_with(|| Arc::new(ClassMetrics::new())),
+        )
+    }
+
+    /// Call `f` on every touched class's counters, in class order.
+    fn for_each_class(&self, mut f: impl FnMut(u32, &ClassMetrics)) {
+        for (id, slot) in self.classes.iter().enumerate() {
+            if let Some(c) = slot.get() {
+                f(id as u32, c);
+            }
+        }
+        for (&id, c) in locks::lock(&self.spilled).iter() {
+            f(id, c);
+        }
     }
 
     /// The transition-weight store (fig. 9 edge weights).
@@ -714,8 +742,7 @@ impl MetricsRegistry {
     /// monotone while dispatch threads are running.
     pub fn events_total(&self) -> u64 {
         let mut total = self.violations();
-        for slot in self.classes.iter() {
-            let Some(c) = slot.get() else { continue };
+        self.for_each_class(|_, c| {
             total += c.news()
                 + c.clones()
                 + c.accepted()
@@ -723,7 +750,7 @@ impl MetricsRegistry {
                 + c.overflows()
                 + c.evictions()
                 + c.shed();
-        }
+        });
         total + self.weights.grand_total()
     }
 
@@ -797,11 +824,10 @@ impl MetricsRegistry {
             })
             .collect();
         let mut classes = Vec::new();
-        for (id, slot) in self.classes.iter().enumerate() {
-            let Some(c) = slot.get() else { continue };
+        self.for_each_class(|id, c| {
             let transitions = self
                 .weights
-                .class(id as u32)
+                .class(id)
                 .map(|cw| {
                     cw.nonzero()
                         .into_iter()
@@ -814,11 +840,11 @@ impl MetricsRegistry {
                 })
                 .unwrap_or_default();
             classes.push(ClassSnapshot {
-                class: id as u32,
+                class: id,
                 name: c.name().to_string(),
                 news: c.news(),
                 clones: c.clones(),
-                updates: self.weights.class_total(id as u32),
+                updates: self.weights.class_total(id),
                 accepted: c.accepted(),
                 rejected: c.rejected(),
                 overflows: c.overflows(),
@@ -828,7 +854,7 @@ impl MetricsRegistry {
                 high_watermark: c.high_watermark(),
                 transitions,
             });
-        }
+        });
         MetricsSnapshot {
             events_total: self.events_total(),
             violations: self.violations(),
@@ -845,18 +871,14 @@ impl MetricsRegistry {
 impl EventHandler for MetricsRegistry {
     fn on_event(&self, ev: &LifecycleEvent) {
         match ev {
-            LifecycleEvent::New { class, .. } => {
-                if let Some(c) = self.class_ref(*class) {
-                    c.news.fetch_add(1, Ordering::Relaxed);
-                    c.inc_live();
-                }
-            }
-            LifecycleEvent::Clone { class, .. } => {
-                if let Some(c) = self.class_ref(*class) {
-                    c.clones.fetch_add(1, Ordering::Relaxed);
-                    c.inc_live();
-                }
-            }
+            LifecycleEvent::New { class, .. } => self.with_class(*class, |c| {
+                c.news.fetch_add(1, Ordering::Relaxed);
+                c.inc_live();
+            }),
+            LifecycleEvent::Clone { class, .. } => self.with_class(*class, |c| {
+                c.clones.fetch_add(1, Ordering::Relaxed);
+                c.inc_live();
+            }),
             LifecycleEvent::Update {
                 class,
                 sym,
@@ -866,7 +888,7 @@ impl EventHandler for MetricsRegistry {
                 // The weight cell is the update counter (see
                 // [`ClassMetrics`]); touching the class slot keeps the
                 // class visible to snapshots even before registration.
-                let _ = self.class_ref(*class);
+                self.with_class(*class, |_| {});
                 self.weights.record(*class, from_states, *sym);
             }
             LifecycleEvent::Error { .. } => {
@@ -874,39 +896,31 @@ impl EventHandler for MetricsRegistry {
             }
             LifecycleEvent::Finalise {
                 class, accepted, ..
-            } => {
-                if let Some(c) = self.class_ref(*class) {
-                    if *accepted {
-                        c.accepted.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        c.rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    c.dec_live();
+            } => self.with_class(*class, |c| {
+                if *accepted {
+                    c.accepted.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    c.rejected.fetch_add(1, Ordering::Relaxed);
                 }
-            }
-            LifecycleEvent::Overflow { class } => {
-                if let Some(c) = self.class_ref(*class) {
-                    c.overflows.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            LifecycleEvent::Evicted { class, .. } => {
-                if let Some(c) = self.class_ref(*class) {
-                    c.evictions.fetch_add(1, Ordering::Relaxed);
-                    c.dec_live();
-                }
-            }
-            LifecycleEvent::Shed { class } => {
-                if let Some(c) = self.class_ref(*class) {
-                    c.shed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+                c.dec_live();
+            }),
+            LifecycleEvent::Overflow { class } => self.with_class(*class, |c| {
+                c.overflows.fetch_add(1, Ordering::Relaxed);
+            }),
+            LifecycleEvent::Evicted { class, .. } => self.with_class(*class, |c| {
+                c.evictions.fetch_add(1, Ordering::Relaxed);
+                c.dec_live();
+            }),
+            LifecycleEvent::Shed { class } => self.with_class(*class, |c| {
+                c.shed.fetch_add(1, Ordering::Relaxed);
+            }),
         }
     }
 
     fn on_register(&self, class: u32, automaton: &Automaton) {
-        if let Some(c) = self.class_ref(class) {
+        self.with_class(class, |c| {
             let _ = c.name.set(automaton.name.clone());
-        }
+        });
         self.weights.register(class, automaton);
     }
 }
@@ -1010,7 +1024,6 @@ mod tests {
             class: 0,
             from_instance: 0,
             to_instance: 1,
-            bound: vec![],
             states: a.initial_states(),
         });
         r.on_event(&LifecycleEvent::Update {

@@ -12,10 +12,12 @@
 //!   (DFA state, symbol) indices. One atomic add per transition on
 //!   the hot path; a striped spillover map catches the rare keys that
 //!   have no dense slot (unregistered classes, merged state sets).
-//! * [`metrics`] — the [`MetricsRegistry`]: per-class lifecycle
-//!   counters, live-instance gauges with high-watermarks, hook-call
-//!   counters and log₂-bucketed hook-latency histograms in fixed-size
-//!   atomic arrays. Zero locks anywhere on the recording path.
+//! * [`metrics`] — the [`MetricsRegistry`], the runtime's one
+//!   lifecycle tally: per-class lifecycle counters, live-instance
+//!   gauges with high-watermarks, hook-call counters and
+//!   log₂-bucketed hook-latency histograms in fixed-size atomic
+//!   arrays. Zero locks on the recording path of the first
+//!   [`weights::MAX_DENSE_CLASSES`] classes.
 //! * [`recorder`] — the [`FlightRecorder`]: a bounded, per-thread,
 //!   overwrite-oldest ring buffer of lifecycle events using a seqlock
 //!   protocol over plain `AtomicU64` words (no `unsafe`), snapshotted
@@ -34,7 +36,7 @@ pub mod weights;
 
 pub use analysis::{
     Anomaly, AnomalyCode, AnomalyReport, Baseline, ClassScore, Governor, GovernorConfig,
-    GovernorDecision, ScorerConfig, Welford,
+    GovernorDecision, Welford,
 };
 pub use metrics::{
     ClassMetrics, ClassSnapshot, HistogramSnapshot, HookKind, HookSnapshot, MetricsRegistry,

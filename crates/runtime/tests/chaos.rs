@@ -37,7 +37,6 @@ fn chaos_engine(seed: u64, spec: FaultSpec) -> Arc<Tesla> {
         instance_capacity: 64,
         max_instances: Some(QUOTA),
         eviction: EvictionPolicy::Lru,
-        degraded_sample: 4,
         telemetry: true,
         faults: Some(Arc::new(FaultPlan::new(seed, spec))),
         ..Config::default()

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use tesla_automata::compile;
 use tesla_runtime::{
-    Config, CountingHandler, FailMode, FlightRecorder, HookKind, Tesla, ViolationKind,
+    Config, FailMode, FlightRecorder, HookKind, MetricsRegistry, Tesla, ViolationKind,
 };
 use tesla_spec::{call, AssertionBuilder, StaticEvent, Value};
 
@@ -280,9 +280,11 @@ fn telemetry_counters_are_exact_under_parallel_dispatch() {
         ..Config::default()
     }));
     let recorder = Arc::new(FlightRecorder::new(1 << 14));
-    let counting = Arc::new(CountingHandler::new());
+    // A second registry, attached as a plain handler beside the
+    // engine's own: both must tally the same stream.
+    let second = Arc::new(MetricsRegistry::new());
     t.add_handler(recorder.clone());
-    t.add_handler(counting.clone());
+    t.add_handler(second.clone());
     let a = global_assertion("telemetry", "job_start", "job_end", "produce");
     let id = t.register(compile(&a).unwrap()).unwrap();
     let start = t.intern_fn("job_start");
@@ -364,18 +366,24 @@ fn telemetry_counters_are_exact_under_parallel_dispatch() {
     assert_eq!(c.live, 0);
     assert_eq!(c.high_watermark, 1 + THREADS * PRODUCED);
 
-    // No-lost-counter: the independent CountingHandler saw the exact
-    // same stream as the lock-free registry.
-    assert_eq!(counting.news(), c.news);
-    assert_eq!(counting.clones(), c.clones);
-    assert_eq!(counting.updates(), c.updates);
-    assert_eq!(counting.errors(), errors);
-    assert_eq!(counting.accepted() + counting.rejected(), finalises);
+    // No-lost-counter: the second registry saw the exact same stream
+    // as the engine's.
+    let s2 = second.snapshot();
+    let c2 = s2
+        .classes
+        .iter()
+        .find(|c| c.class == id.0)
+        .expect("second registry's class metrics");
+    assert_eq!(c2.news, c.news);
+    assert_eq!(c2.clones, c.clones);
+    assert_eq!(c2.updates, c.updates);
+    assert_eq!(second.violations(), errors);
+    assert_eq!(c2.accepted + c2.rejected, finalises);
 
     // Transition weights agree between both tables, and their total
     // equals the Update count (one edge firing per Update).
     let rw = m.weight_source(id.0).expect("registry weights");
-    let cw = counting.weights().class(id.0).expect("counting weights");
+    let cw = second.weight_source(id.0).expect("second registry weights");
     let rt: u64 = rw.nonzero().iter().map(|&(_, _, n)| n).sum();
     let ct: u64 = cw.nonzero().iter().map(|&(_, _, n)| n).sum();
     assert_eq!(rt, updates);
@@ -479,16 +487,16 @@ fn dropped_engine_snapshot_cache_does_not_leak_into_successor() {
     assert!(c.violations().is_empty());
 }
 
-/// A bounded recording handler under the same parallel load: the
-/// buffer must stay at its cap, count its drops, and never lose the
-/// *newest* events.
+/// The flight recorder, the bounded recorder, under the same parallel
+/// load: each thread's ring must stay at its cap, count what it
+/// overwrote, and never lose the *newest* events.
 #[test]
 fn bounded_recorder_caps_memory_under_parallel_load() {
     const THREADS: u64 = 4;
     const PRODUCED: u64 = 100;
     const CAP: usize = 64;
     let t = log_engine();
-    let rec = Arc::new(tesla_runtime::RecordingHandler::bounded(CAP));
+    let rec = Arc::new(FlightRecorder::new(CAP));
     t.add_handler(rec.clone());
     let a = global_assertion("bounded", "job_start", "job_end", "produce");
     let id = t.register(compile(&a).unwrap()).unwrap();
@@ -518,12 +526,16 @@ fn bounded_recorder_caps_memory_under_parallel_load() {
 
     // New + per-value (Clone + 2 Updates) + finalises.
     let total = 1 + 3 * THREADS * PRODUCED + (1 + THREADS * PRODUCED);
-    assert_eq!(rec.len(), CAP);
-    assert_eq!(rec.dropped(), total - CAP as u64);
-    // The retained suffix is the newest CAP events: the very last
-    // lifecycle event of the run («cleanup» finalisations) is there.
-    let events = rec.events();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, tesla_runtime::LifecycleEvent::Finalise { .. })));
+    assert_eq!(rec.capacity(), CAP);
+    assert_eq!(rec.total_recorded(), total);
+    // The main thread and every worker each wrote more than a ring's
+    // worth.
+    assert_eq!(rec.thread_count(), THREADS as usize + 1);
+    let events = rec.snapshot();
+    assert_eq!(events.len(), rec.thread_count() * CAP);
+    assert_eq!(rec.overwritten(), total - events.len() as u64);
+    // Each ring keeps its newest events: the very last lifecycle
+    // events of the run («cleanup» finalisations, on the main thread)
+    // are there.
+    assert!(events.iter().any(|e| e.kind == "finalise"));
 }

@@ -3,13 +3,11 @@
 //! handlers) and the engine must stay *live* afterwards — also while
 //! a fault plan is injecting handler panics into the dispatch path.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::catch_unwind;
 use std::sync::Arc;
 use tesla_automata::compile;
-use tesla_runtime::telemetry::export::json_counters;
 use tesla_runtime::{
-    BatchBuf, Config, FailMode, FaultKind, FaultPlan, FaultSpec, LifecycleEvent, RecordingHandler,
-    Tesla,
+    Config, FailMode, FaultKind, FaultPlan, FaultSpec, LifecycleEvent, RecordingHandler, Tesla,
 };
 use tesla_spec::{call, AssertionBuilder, Value};
 
@@ -93,86 +91,9 @@ fn log_mode_logs_and_continues() {
 }
 
 #[test]
-fn panic_mode_panics_with_context_and_stays_live() {
-    let (t, id) = engine(FailMode::Panic, None);
-    let req = t.intern_fn("req");
-    let check = t.intern_fn("check");
-    t.fn_entry(req, &[]).unwrap();
-    let args = [Value(1)];
-    t.fn_entry(check, &args).unwrap();
-    t.fn_exit(check, &args, Value(0)).unwrap();
-    assert!(t.assertion_site(id, &[Value(1)]).is_ok());
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        let _ = t.assertion_site(id, &[Value(2)]);
-    }))
-    .unwrap_err();
-    // The panic payload is the violation's display form — actionable,
-    // like the fail-stop message.
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("req_check"), "panic payload: {msg}");
-    // The violation was logged *before* unwinding.
-    assert_eq!(t.violations().len(), 1);
-    // Liveness: the engine survives its own panic (the scope it was
-    // in is abandoned; the next scope is clean).
-    let (pass, _) = scope(&t, id, 5, None);
-    assert!(pass.is_ok());
-}
-
-/// `FailMode::Panic` leaves the same deterministic counters whether
-/// its events arrive through the hooks or through `dispatch_batch`:
-/// a scope entry, a site on a Global class with `x` unbound (the
-/// violation, so the panic) and the scope exit, every call under
-/// `catch_unwind`. A panic ends the call it happens in, so the
-/// batched side sends the exit in a second batch, as a drain resumes
-/// after it. The batch must neither poison the Global shard nor lose
-/// the call counts of the batch that unwound.
-#[test]
-fn panic_mode_counts_alike_through_hooks_and_dispatch_batch() {
-    let run = |batched: bool| {
-        tesla_runtime::engine::reset_thread_state();
-        let t = Tesla::new(Config {
-            fail_mode: FailMode::Panic,
-            telemetry: true,
-            ..Config::default()
-        });
-        let a = AssertionBuilder::within("req")
-            .global()
-            .named("req_check_global")
-            .previously(call("check").arg_var("x").returns(0))
-            .build()
-            .unwrap();
-        let id = t.register(compile(&a).unwrap()).unwrap();
-        let req = t.intern_fn("req");
-        if batched {
-            let mut b = BatchBuf::new();
-            b.push_fn_entry(req, &[]);
-            b.push_site(id, &[Value(1)]);
-            assert!(catch_unwind(AssertUnwindSafe(|| t.dispatch_batch(&b))).is_err());
-            b.clear();
-            b.push_fn_exit(req, &[], Value(0));
-            let _ = catch_unwind(AssertUnwindSafe(|| t.dispatch_batch(&b)));
-        } else {
-            let _ = catch_unwind(AssertUnwindSafe(|| t.fn_entry(req, &[])));
-            assert!(catch_unwind(AssertUnwindSafe(|| t.assertion_site(id, &[Value(1)]))).is_err());
-            let _ = catch_unwind(AssertUnwindSafe(|| t.fn_exit(req, &[], Value(0))));
-        }
-        assert_eq!(t.violations().len(), 1, "batched: {batched}");
-        json_counters(&t.metrics().snapshot())
-    };
-    assert_eq!(run(true), run(false));
-}
-
-#[test]
 fn zero_limits_are_rejected_with_typed_errors() {
     use tesla_runtime::ConfigError;
-    let cases: [(Config, ConfigError); 4] = [
-        (
-            Config {
-                global_shards: 0,
-                ..Config::default()
-            },
-            ConfigError::ZeroGlobalShards,
-        ),
+    let cases: [(Config, ConfigError); 2] = [
         (
             Config {
                 instance_capacity: 0,
@@ -187,35 +108,28 @@ fn zero_limits_are_rejected_with_typed_errors() {
             },
             ConfigError::ZeroMaxInstances,
         ),
-        (
-            Config {
-                degraded_sample: 0,
-                ..Config::default()
-            },
-            ConfigError::ZeroDegradedSample,
-        ),
     ];
     for (cfg, want) in cases {
         assert_eq!(Tesla::try_new(cfg).err(), Some(want));
     }
     // And the panicking constructor reports the same diagnosis instead
-    // of a modulo-by-zero deep inside a hook.
+    // of a store that can never hold an instance.
     let err = catch_unwind(|| {
         Tesla::new(Config {
-            global_shards: 0,
+            instance_capacity: 0,
             ..Config::default()
         })
     })
     .err()
-    .expect("zero shards must panic in Tesla::new");
+    .expect("zero capacity must panic in Tesla::new");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("global_shards"), "panic payload: {msg}");
+    assert!(msg.contains("instance_capacity"), "panic payload: {msg}");
 }
 
 #[test]
 fn all_modes_deliver_under_injected_handler_panics() {
     tesla_runtime::faults::silence_injected_panics();
-    for mode in [FailMode::FailStop, FailMode::Log, FailMode::Panic] {
+    for mode in [FailMode::FailStop, FailMode::Log] {
         let plan = Arc::new(FaultPlan::new(
             42,
             FaultSpec::none().with(FaultKind::HandlerPanic, 2),
@@ -223,24 +137,11 @@ fn all_modes_deliver_under_injected_handler_panics() {
         let (t, id) = engine(mode, Some(plan.clone()));
         let rec = Arc::new(RecordingHandler::new());
         t.add_handler(rec.clone());
-        let outcome = catch_unwind(AssertUnwindSafe(|| scope(&t, id, 1, Some(2))));
-        match mode {
-            FailMode::Panic => {
-                // Only the *violation* panics; injected handler panics
-                // are absorbed.
-                assert!(outcome.is_err());
-            }
-            FailMode::FailStop => {
-                let (pass, fail) = outcome.unwrap();
-                assert!(pass.is_ok());
-                assert!(fail.is_err());
-            }
-            FailMode::Log => {
-                let (pass, fail) = outcome.unwrap();
-                assert!(pass.is_ok());
-                assert!(fail.is_ok());
-            }
-        }
+        // Injected handler panics are absorbed, never unwound into the
+        // host.
+        let (pass, fail) = scope(&t, id, 1, Some(2));
+        assert!(pass.is_ok(), "mode {mode:?}");
+        assert_eq!(fail.is_err(), mode == FailMode::FailStop, "mode {mode:?}");
         // Delivery survived the panicking dispatch path: the violation
         // is in the log and handlers behind the injected panic still
         // saw the Error event.
@@ -260,9 +161,9 @@ fn all_modes_deliver_under_injected_handler_panics() {
             l.total_injected(),
             "mode {mode:?}"
         );
-        // Liveness after the chaos: one more scope with no violation
-        // (so even Panic mode returns), which must pass cleanly.
-        let (pass, _) = catch_unwind(AssertUnwindSafe(|| scope(&t, id, 7, None))).unwrap();
+        // Liveness after the chaos: one more scope with no violation,
+        // which must pass cleanly.
+        let (pass, _) = scope(&t, id, 7, None);
         assert!(pass.is_ok(), "mode {mode:?}");
     }
 }

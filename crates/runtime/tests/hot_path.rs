@@ -1,10 +1,10 @@
 //! The steady-state hook path allocates nothing. A counting global
 //! allocator (its counter is thread-local, so tests running on other
 //! threads do not add to it) watches 1 000 rounds of one per-thread
-//! class, through the per-event hooks, through `dispatch_batch`,
-//! through ring staging and through the JSONL line decoder. A second
-//! test pins the re-entrancy contract of the per-thread snapshot
-//! cache.
+//! class, through the per-event hooks and through `dispatch_batch`
+//! (each with telemetry off and on), through ring staging and through
+//! the JSONL line decoder. A second test pins the re-entrancy contract
+//! of the per-thread snapshot cache.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,13 +74,14 @@ struct Names {
     check: NameId,
 }
 
-/// One per-thread class, telemetry off, lazy init:
-/// `previously(check(x) == 0)` within each `txn`.
-fn engine(fail_mode: FailMode) -> (Tesla, ClassId, Names) {
+/// One per-thread class, lazy init: `previously(check(x) == 0)`
+/// within each `txn`. Telemetry attaches the registry, which sees a
+/// clone, two updates and two finalises per round.
+fn engine_with(fail_mode: FailMode, telemetry: bool) -> (Tesla, ClassId, Names) {
     let t = Tesla::new(Config {
         fail_mode,
         init_mode: InitMode::Lazy,
-        telemetry: false,
+        telemetry,
         ..Config::default()
     });
     let a = AssertionBuilder::bounded(
@@ -97,6 +98,11 @@ fn engine(fail_mode: FailMode) -> (Tesla, ClassId, Names) {
         check: t.intern_fn("check"),
     };
     (t, id, names)
+}
+
+/// [`engine_with`], telemetry off.
+fn engine(fail_mode: FailMode) -> (Tesla, ClassId, Names) {
+    engine_with(fail_mode, false)
 }
 
 /// Scope entry, `check(x)` entry and exit, the site, scope exit; every
@@ -129,9 +135,16 @@ fn stage(p: &mut EventProducer, id: ClassId, n: &Names, x: u64) -> bool {
         && p.fn_exit(n.scope, &[], Value(0))
 }
 
-#[test]
-fn steady_state_hooks_allocate_nothing() {
-    let (t, id, n) = engine(FailMode::FailStop);
+/// Every round of a telemetered engine reached the registry.
+fn assert_tallied(t: &Tesla, id: ClassId) {
+    if t.telemetry_enabled() {
+        let c = t.metrics().class(id.0).expect("class counters");
+        assert_eq!((c.news(), c.clones()), (ROUNDS + 1, ROUNDS + 1));
+    }
+}
+
+fn hooks_allocate_nothing(telemetry: bool) {
+    let (t, id, n) = engine_with(FailMode::FailStop, telemetry);
     // Warm-up epoch: thread caches, store tables and scratch buffers
     // reach their steady size.
     round(&t, id, &n, 0);
@@ -144,11 +157,23 @@ fn steady_state_hooks_allocate_nothing() {
     assert!(t.violations().is_empty());
     assert_eq!(t.coverage()[0].1, ROUNDS + 1);
     assert_eq!(t.live_instances_here(id), 0);
+    assert_tallied(&t, id);
 }
 
 #[test]
-fn steady_state_dispatch_batch_allocates_nothing() {
-    let (t, id, n) = engine(FailMode::FailStop);
+fn steady_state_hooks_allocate_nothing() {
+    hooks_allocate_nothing(false);
+}
+
+/// With telemetry on, each round's clone reaches the registry as a
+/// lifecycle event, which must not copy the clone's bindings.
+#[test]
+fn telemetered_hooks_allocate_nothing() {
+    hooks_allocate_nothing(true);
+}
+
+fn dispatch_batch_allocates_nothing(telemetry: bool) {
+    let (t, id, n) = engine_with(FailMode::FailStop, telemetry);
     let mut batch = BatchBuf::with_capacity(8);
     fill(&mut batch, id, &n, 0);
     t.dispatch_batch(&batch).unwrap();
@@ -162,6 +187,17 @@ fn steady_state_dispatch_batch_allocates_nothing() {
     assert!(t.violations().is_empty());
     assert_eq!(t.coverage()[0].1, ROUNDS + 1);
     assert_eq!(t.live_instances_here(id), 0);
+    assert_tallied(&t, id);
+}
+
+#[test]
+fn steady_state_dispatch_batch_allocates_nothing() {
+    dispatch_batch_allocates_nothing(false);
+}
+
+#[test]
+fn telemetered_dispatch_batch_allocates_nothing() {
+    dispatch_batch_allocates_nothing(true);
 }
 
 #[test]

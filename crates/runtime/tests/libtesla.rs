@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use tesla_automata::compile;
 use tesla_runtime::{
-    engine::reset_thread_state, Config, CountingHandler, FailMode, InitMode, RecordingHandler,
+    engine::reset_thread_state, Config, FailMode, InitMode, MetricsRegistry, RecordingHandler,
     Tesla, Violation, ViolationKind,
 };
 use tesla_spec::{call, field_assign, msg_send, AssertionBuilder, ExprBuilder, FieldOp, Value};
@@ -362,8 +362,8 @@ fn overflow_is_reported_not_silent() {
         instance_capacity: 3,
         ..Config::default()
     });
-    let counting = Arc::new(CountingHandler::new());
-    t.add_handler(counting.clone());
+    let registry = Arc::new(MetricsRegistry::new());
+    t.add_handler(registry.clone());
     let a = AssertionBuilder::syscall()
         .named("tiny")
         .previously(call("check").arg_var("x").returns(0))
@@ -380,18 +380,20 @@ fn overflow_is_reported_not_silent() {
         t.fn_exit(check, &args, Value(0)).unwrap();
     }
     t.fn_exit(syscall, &[], Value(0)).unwrap();
-    assert_eq!(counting.overflows(), 8);
-    assert_eq!(counting.clones(), 2);
+    let c = registry.class(0).expect("class counters");
+    assert_eq!(c.overflows(), 8);
+    assert_eq!(c.clones(), 2);
 }
 
 #[test]
 fn counting_handler_weights_transitions() {
     let (t, id) = syscall_poll_engine(InitMode::Lazy, FailMode::FailStop);
-    let counting = Arc::new(CountingHandler::new());
-    t.add_handler(counting.clone());
+    let registry = Arc::new(MetricsRegistry::new());
+    t.add_handler(registry.clone());
     for _ in 0..5 {
         poll_scenario(&t, id, Some(42), Some(42)).unwrap();
     }
+    let weights = registry.weights();
     let defs = t.class_defs();
     let auto = &defs[0].automaton;
     let check_sym = auto
@@ -400,9 +402,9 @@ fn counting_handler_weights_transitions() {
         .find(|s| s.kind.to_string().contains("mac_socket_check_poll"))
         .unwrap()
         .id;
-    assert_eq!(counting.symbol_count(0, check_sym), 5);
-    assert_eq!(counting.symbol_count(0, auto.site_sym), 5);
-    assert!(counting.covered_symbols(0).contains(&auto.site_sym));
+    assert_eq!(weights.symbol_count(0, check_sym), 5);
+    assert_eq!(weights.symbol_count(0, auto.site_sym), 5);
+    assert!(weights.covered_symbols(0).contains(&auto.site_sym));
 }
 
 #[test]
@@ -876,7 +878,6 @@ fn stale_instances_cleared_on_epoch_change() {
         guard_fns: Vec::new(),
         quota: None,
         eviction: tesla_runtime::EvictionPolicy::default(),
-        degraded_sample: 4,
     };
     let mut store = Store::default();
     store.ensure(1, 1);
@@ -961,4 +962,72 @@ fn violation_messages_carry_actionable_context() {
     assert!(msg.contains("mac_poll"), "{msg}");
     assert!(msg.contains("mac_socket_check_poll"), "{msg}");
     assert!(msg.contains("so=42"), "{msg}");
+}
+
+/// The registry counts every class, also those past its dense table
+/// of `MAX_DENSE_CLASSES` (1 024) slots: 1 100 classes are
+/// registered, and one scope specialises class 5 and class 1 050 alike
+/// and reaches both sites. The registry must tally every lifecycle
+/// event the stream carried, and report class 1 050 as it reports
+/// class 5.
+#[test]
+fn registry_counts_classes_past_its_dense_table() {
+    const CLASSES: usize = 1_100;
+    let t = Tesla::new(Config {
+        telemetry: true,
+        ..Config::default()
+    });
+    let recorded = Arc::new(RecordingHandler::new());
+    t.add_handler(recorded.clone());
+    let automata = (0..CLASSES)
+        .map(|i| {
+            let a = AssertionBuilder::within("scope")
+                .named(&format!("c{i}"))
+                .previously(call(&format!("check_{i}")).arg_var("x").returns(0))
+                .build()
+                .unwrap();
+            compile(&a).unwrap()
+        })
+        .collect();
+    let ids = t.register_batch(automata).unwrap();
+    let scope = t.intern_fn("scope");
+    t.fn_entry(scope, &[]).unwrap();
+    for class in [5, 1_050] {
+        let check = t.intern_fn(&format!("check_{class}"));
+        let args = [Value(7)];
+        t.fn_entry(check, &args).unwrap();
+        t.fn_exit(check, &args, Value(0)).unwrap();
+        t.assertion_site(ids[class], &args).unwrap();
+    }
+    t.fn_exit(scope, &[], Value(0)).unwrap();
+
+    let events = recorded.events().len() as u64;
+    assert_eq!(events, 12, "New, Clone, 2 Updates and 2 Finalises each");
+    let m = t.metrics();
+    assert_eq!(m.events_total(), events);
+    let snap = m.snapshot();
+    let class = |id: u32| {
+        snap.classes
+            .iter()
+            .find(|c| c.class == id)
+            .unwrap_or_else(|| panic!("class {id} in the snapshot"))
+    };
+    let (low, high) = (class(5), class(1_050));
+    assert_eq!((low.name.as_str(), high.name.as_str()), ("c5", "c1050"));
+    assert_eq!(
+        (
+            high.news,
+            high.clones,
+            high.updates,
+            high.accepted + high.rejected
+        ),
+        (
+            low.news,
+            low.clones,
+            low.updates,
+            low.accepted + low.rejected
+        )
+    );
+    assert_eq!((high.news, high.clones, high.updates), (1, 1, 2));
+    assert_eq!(m.class(1_050).expect("counters").news(), 1);
 }

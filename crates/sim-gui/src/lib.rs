@@ -367,14 +367,15 @@ mod tests {
 
     #[test]
     fn figure8_automaton_counts_method_events() {
-        let counting = Arc::new(tesla_runtime::CountingHandler::new());
+        let registry = Arc::new(tesla_runtime::MetricsRegistry::new());
         let engine = Arc::new(Tesla::with_defaults());
-        engine.add_handler(counting.clone());
+        engine.add_handler(registry.clone());
         let mut app = GuiApp::new(GuiMode::Tesla(engine), GuiBugs::default());
         drive(&mut app);
         // The tracing automaton consumed plenty of events.
-        assert!(counting.updates() > 10, "updates: {}", counting.updates());
-        assert!(counting.errors() == 0);
+        let updates = registry.weights().grand_total();
+        assert!(updates > 10, "updates: {updates}");
+        assert_eq!(registry.violations(), 0);
     }
 
     #[test]

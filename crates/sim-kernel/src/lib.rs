@@ -432,10 +432,9 @@ impl Kernel {
     }
 
     /// Lock the kernel state, poisoned or not (DESIGN.md §6.1). No
-    /// TESLA hook runs with the lock held, so a `FailMode::Panic`
-    /// violation cannot poison it; if a panic ever does, later
-    /// syscalls carry on with the state it left, as a kernel's other
-    /// threads would.
+    /// TESLA hook runs with the lock held, so a violation cannot
+    /// poison it; if a panic ever does, later syscalls carry on with
+    /// the state it left, as a kernel's other threads would.
     pub(crate) fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -309,6 +309,30 @@ impl Expr {
         }
     }
 
+    /// How deep the spec parser nests to read this expression back
+    /// from its printed form, the expression itself being level 1:
+    /// every `TSEQUENCE`, `ATLEAST` and modifier argument sits one
+    /// level below its parent, and so does a boolean operand that is
+    /// itself boolean (it prints inside a one-element `TSEQUENCE`);
+    /// other boolean operands are read at their operator's level.
+    pub fn depth(&self) -> usize {
+        match self {
+            Expr::Event(_) | Expr::AssertionSite | Expr::InCallStack(_) => 1,
+            Expr::Sequence(es) | Expr::AtLeast { exprs: es, .. } => {
+                1 + es.iter().map(Expr::depth).max().unwrap_or(0)
+            }
+            Expr::Modified { expr, .. } => 1 + expr.depth(),
+            Expr::Bool { exprs, .. } => exprs
+                .iter()
+                .map(|e| match e {
+                    Expr::Bool { .. } => 1 + e.depth(),
+                    _ => e.depth(),
+                })
+                .max()
+                .unwrap_or(1),
+        }
+    }
+
     /// Count concrete events in the tree.
     pub fn count_events(&self) -> usize {
         match self {
@@ -391,7 +415,9 @@ pub struct Assertion {
 
 impl Assertion {
     /// Validate structural invariants: at least one event, at most one
-    /// assertion site, non-empty bound functions.
+    /// assertion site, non-empty bound functions, and nesting the spec
+    /// parser reads back (at most [`crate::parser::MAX_DEPTH`] levels),
+    /// so that every writer's output of a valid assertion is readable.
     ///
     /// # Errors
     ///
@@ -406,6 +432,10 @@ impl Assertion {
         let sites = self.expr.max_sites_on_path();
         if sites > 1 {
             return Err(crate::SpecError::MultipleAssertionSites(sites));
+        }
+        let depth = self.expr.depth();
+        if depth > crate::parser::MAX_DEPTH {
+            return Err(crate::SpecError::TooDeep(depth));
         }
         Ok(())
     }
@@ -495,6 +525,35 @@ mod tests {
             a.validate(),
             Err(crate::SpecError::MultipleAssertionSites(2))
         );
+    }
+
+    #[test]
+    fn validate_rejects_what_the_parser_cannot_read() {
+        let nested = |levels: usize| {
+            let mut e = ev("f");
+            for _ in 0..levels {
+                e = Expr::Modified {
+                    modifier: Modifier::Optional,
+                    expr: Box::new(e),
+                };
+            }
+            assertion(Expr::previously(e))
+        };
+        // `previously` is level 1, so the call sits at `levels + 2`.
+        let deepest = crate::parser::MAX_DEPTH - 2;
+        assert!(nested(deepest).validate().is_ok());
+        assert_eq!(
+            nested(deepest + 1).validate(),
+            Err(crate::SpecError::TooDeep(crate::parser::MAX_DEPTH + 1))
+        );
+        // A boolean operand that is itself boolean prints one level
+        // down.
+        let or = |exprs| Expr::Bool {
+            op: BoolOp::Or,
+            exprs,
+        };
+        assert_eq!(or(vec![ev("a"), ev("b")]).depth(), 1);
+        assert_eq!(or(vec![ev("a"), or(vec![ev("b"), ev("c")])]).depth(), 2);
     }
 
     #[test]

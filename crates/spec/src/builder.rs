@@ -560,7 +560,8 @@ impl AssertionBuilder {
     /// # Errors
     ///
     /// Returns [`crate::SpecError`] if the assertion is structurally
-    /// invalid (no events, several sites on one path, empty bounds).
+    /// invalid (no events, several sites on one path, empty bounds) or
+    /// nested deeper than the spec parser reads back.
     pub fn build(self) -> Result<Assertion, crate::SpecError> {
         let raw = self.expr.ok_or(crate::SpecError::EmptyExpression)?;
         let mut vt = VarTable { names: Vec::new() };

@@ -69,6 +69,11 @@ pub enum SpecError {
     InconsistentVariable(String),
     /// Bounds refer to an empty function name.
     EmptyBoundFunction,
+    /// The expression nests this many levels deep, deeper than the
+    /// spec parser reads back ([`parser::MAX_DEPTH`]); its printed form
+    /// could be written to a `.tesla` manifest or an IR file but never
+    /// read from one.
+    TooDeep(usize),
 }
 
 impl std::fmt::Display for SpecError {
@@ -85,6 +90,11 @@ impl std::fmt::Display for SpecError {
                 write!(f, "variable `{v}` is used inconsistently")
             }
             SpecError::EmptyBoundFunction => write!(f, "temporal bound names an empty function"),
+            SpecError::TooDeep(depth) => write!(
+                f,
+                "expression nested {depth} levels deep; at most {} can be read back",
+                parser::MAX_DEPTH
+            ),
         }
     }
 }

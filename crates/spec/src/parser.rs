@@ -296,7 +296,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
 /// JSON reader. Parsing recurses once per level, and assertions arrive
 /// from outside the program (`tesla check`, mini-C sources, `.tesla`
 /// manifests), so without a bound deep input would overflow the stack.
-const MAX_DEPTH: usize = 64;
+/// [`crate::Assertion::validate`] holds built assertions to it too.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parser state: token stream plus the variable table being built.
 struct Parser<'a> {

@@ -103,15 +103,15 @@ fn main() {
 
     // --- Healthy app: everything balances ---------------------------
     let engine = Arc::new(Tesla::with_defaults());
-    let counting = Arc::new(CountingHandler::new());
-    engine.add_handler(counting.clone());
+    let registry = Arc::new(MetricsRegistry::new());
+    engine.add_handler(registry.clone());
     let mut clean = GuiApp::new(GuiMode::Tesla(engine.clone()), GuiBugs::default());
     xnee::replay(&mut clean, &xnee::session(60));
     let defs = engine.class_defs();
     println!(
         "\nhealthy session: {} automaton updates across {} instrumented selectors, 0 errors",
-        counting.updates(),
+        registry.weights().grand_total(),
         defs[0].automaton.n_symbols() - 3,
     );
-    assert_eq!(counting.errors(), 0);
+    assert_eq!(registry.violations(), 0);
 }

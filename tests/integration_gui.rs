@@ -27,16 +27,16 @@ fn replay_is_identical_across_all_tiers() {
 
 #[test]
 fn figure8_automaton_traces_a_whole_session_without_errors() {
-    let counting = Arc::new(CountingHandler::new());
+    let registry = Arc::new(MetricsRegistry::new());
     let engine = Arc::new(Tesla::with_defaults());
-    engine.add_handler(counting.clone());
+    engine.add_handler(registry.clone());
     let mut app = GuiApp::new(GuiMode::Tesla(engine.clone()), GuiBugs::default());
     xnee::replay(&mut app, &xnee::session(50));
-    assert_eq!(counting.errors(), 0);
-    assert!(counting.updates() > 100);
+    assert_eq!(registry.violations(), 0);
+    assert!(registry.weights().grand_total() > 100);
     // Logical coverage over the automaton's alphabet: which of the
     // ~110 instrumented methods actually ran.
-    let covered = counting.covered_symbols(0);
+    let covered = registry.weights().covered_symbols(0);
     assert!(covered.len() > 3, "covered symbols: {}", covered.len());
     let defs = engine.class_defs();
     assert!(covered.len() < defs[0].automaton.n_symbols());
@@ -102,9 +102,9 @@ fn gstate_profile_exposes_save_restore_pairs() {
     // the state that are changed in between are the current drawing
     // location and the colour" — the optimisation-opportunity
     // profiling of §3.5.3, from transition counts.
-    let counting = Arc::new(CountingHandler::new());
+    let registry = Arc::new(MetricsRegistry::new());
     let engine = Arc::new(Tesla::with_defaults());
-    engine.add_handler(counting.clone());
+    engine.add_handler(registry.clone());
     let mut app = GuiApp::new(GuiMode::Tesla(engine.clone()), GuiBugs::default());
     xnee::replay(&mut app, &xnee::session(25));
     let defs = engine.class_defs();
@@ -113,7 +113,7 @@ fn gstate_profile_exposes_save_restore_pairs() {
         auto.symbols
             .iter()
             .find(|s| s.kind.to_string().contains(needle))
-            .map(|s| counting.symbol_count(0, s.id))
+            .map(|s| registry.weights().symbol_count(0, s.id))
             .unwrap_or(0)
     };
     let saves = find("saveGraphicsState");

@@ -5,7 +5,7 @@
 //! ordering requirement.
 
 use tesla::pipeline::{run_with_tesla, BuildOptions, BuildSystem, Project};
-use tesla_ir::opt::{optimise, InlineOptions};
+use tesla_ir::opt::optimise;
 use tesla_runtime::Tesla;
 
 /// A three-unit program shaped like the paper's MAC scenario: the
@@ -98,7 +98,7 @@ fn instrument_then_optimise_keeps_events_optimise_first_loses_them() {
     // hooks exist; the woven program misses the event and the
     // assertion fires spuriously.
     let mut wrong = out.module.clone();
-    optimise(&mut wrong, &InlineOptions::default());
+    optimise(&mut wrong);
     tesla_instrument::instrument(&mut wrong, &manifest).unwrap();
     let t = Tesla::with_defaults();
     tesla_instrument::register_manifest(&t, &manifest).unwrap();
@@ -115,7 +115,7 @@ fn instrument_then_optimise_keeps_events_optimise_first_loses_them() {
     // protected from inlining.
     let mut right = out.module;
     tesla_instrument::instrument(&mut right, &manifest).unwrap();
-    optimise(&mut right, &InlineOptions::default());
+    optimise(&mut right);
     let t = Tesla::with_defaults();
     tesla_instrument::register_manifest(&t, &manifest).unwrap();
     let mut sink = tesla_instrument::RuntimeSink::new(&t);
@@ -203,22 +203,19 @@ fn corpus_manifests_and_modules_roundtrip() {
 #[test]
 fn figure9_dot_graph_renders_with_runtime_weights() {
     use std::sync::Arc;
-    use tesla_runtime::CountingHandler;
+    use tesla_runtime::MetricsRegistry;
     let mut bs = BuildSystem::new(mac_project(true), BuildOptions::tesla_toolchain());
     let art = bs.build().unwrap();
     let t = Tesla::with_defaults();
-    let counting = Arc::new(CountingHandler::new());
-    t.add_handler(counting.clone());
+    let registry = Arc::new(MetricsRegistry::new());
+    t.add_handler(registry.clone());
     for _ in 0..5 {
         run_with_tesla(&art, &t, "amd64_syscall", &[7], 1_000_000).unwrap();
     }
     let defs = t.class_defs();
     let auto = &defs[0].automaton;
-    let dfa = tesla_automata::Dfa::from_automaton(auto);
-    let weigher = |from: u32, sym: u32| {
-        counting.transition_count(0, dfa.states[from as usize], tesla_automata::SymbolId(sym))
-    };
-    let dot = tesla_automata::dot::render(auto, &weigher);
+    let weights = registry.weight_source(0).expect("weights for class 0");
+    let dot = tesla_automata::dot::render(auto, &*weights);
     assert!(dot.contains("mac_socket_check_poll"));
     assert!(dot.contains("×)"), "weights rendered: {dot}");
 }
@@ -242,4 +239,78 @@ fn incremental_rebuild_shape_default_vs_tesla() {
     assert_eq!(d.stats.instrumented_units, 0);
     assert_eq!(t.stats.compiled_units, 1);
     assert_eq!(t.stats.instrumented_units, 10);
+}
+
+/// Every assertion the builder builds is readable from both hand-off
+/// formats. Nested deeper than the spec parser's 64 levels, it is
+/// refused at `build`, before a `.tesla` manifest or an IR file can
+/// hold it. Each nesting combinator is driven across that bound.
+#[test]
+fn deep_assertions_are_refused_where_they_are_built() {
+    use tesla_spec::{atleast, call, AssertionBuilder, ExprBuilder, SpecError};
+    type Wrap = fn(ExprBuilder) -> ExprBuilder;
+    let combinators: [(&str, Wrap); 9] = [
+        ("optional", |e| e.optional()),
+        ("strict", |e| e.strict()),
+        ("caller", |e| e.caller()),
+        ("callee", |e| e.callee()),
+        ("conditional", |e| e.conditional()),
+        ("then", |e| ExprBuilder::from(call("g")).then(e)),
+        ("or", |e| ExprBuilder::from(call("g")).or(e)),
+        ("xor", |e| ExprBuilder::from(call("g")).xor(e)),
+        ("atleast", |e| atleast(1, vec![e])),
+    ];
+    let build = |wrap: Wrap, levels: usize| {
+        let mut e = ExprBuilder::from(call("check").arg_var("x").returns(0));
+        for _ in 0..levels {
+            e = wrap(e);
+        }
+        AssertionBuilder::within("req")
+            .named("deep")
+            .previously(e)
+            .build()
+    };
+    // `previously` is level 1 and the call sits below the wrappers:
+    // 62 of them reach the parser's 64 levels, 63 go one past.
+    assert!(build(combinators[0].1, 62).is_ok());
+    assert_eq!(
+        build(combinators[0].1, 63).err(),
+        Some(SpecError::TooDeep(65))
+    );
+    for (name, wrap) in combinators {
+        let mut refused = false;
+        for levels in 60..=66 {
+            match build(wrap, levels) {
+                Ok(a) => {
+                    assert!(
+                        !refused,
+                        "{name} x{levels} built after a shallower one was refused"
+                    );
+                    let mut manifest = tesla_automata::Manifest::new();
+                    manifest.push("deep.c", a.clone());
+                    let text = tesla::manifest::to_tesla(&manifest);
+                    assert_eq!(
+                        tesla::manifest::from_tesla(&text).as_ref(),
+                        Ok(&manifest),
+                        "{name} x{levels}"
+                    );
+                    let module = tesla_ir::Module {
+                        name: "deep.c".into(),
+                        assertions: vec![tesla_ir::module::ModuleAssertion { assertion: a }],
+                        ..tesla_ir::Module::default()
+                    };
+                    let back = tesla_ir::decode(&tesla_ir::encode(&module));
+                    assert_eq!(back.as_ref(), Ok(&module), "{name} x{levels}");
+                }
+                Err(e) => {
+                    assert!(
+                        matches!(e, SpecError::TooDeep(65..)),
+                        "{name} x{levels}: {e}"
+                    );
+                    refused = true;
+                }
+            }
+        }
+        assert!(refused, "{name}: 66 levels must cross the bound");
+    }
 }

@@ -264,8 +264,8 @@ fn capacity_sweep_reports_overflows_proportionally() {
             instance_capacity: capacity,
             ..Config::default()
         });
-        let counting = Arc::new(CountingHandler::new());
-        t.add_handler(counting.clone());
+        let registry = Arc::new(MetricsRegistry::new());
+        t.add_handler(registry.clone());
         let a = AssertionBuilder::syscall()
             .named("cap")
             .previously(call("check").arg_var("x").returns(0))
@@ -286,7 +286,7 @@ fn capacity_sweep_reports_overflows_proportionally() {
         // of the 20 distinct bindings overflow — and are *reported*.
         let expected_overflow = distinct.saturating_sub(capacity as u64 - 1);
         assert_eq!(
-            counting.overflows(),
+            registry.class(0).map_or(0, |c| c.overflows()),
             expected_overflow,
             "capacity {capacity}"
         );

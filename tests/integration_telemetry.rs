@@ -155,11 +155,15 @@ fn pipeline_plumbs_static_elision_into_the_registry() {
 #[test]
 fn ssl_fetch_under_bounded_recording_and_metrics() {
     let t = telemetry_engine();
-    let rec = Arc::new(RecordingHandler::bounded(8));
+    let rec = Arc::new(FlightRecorder::new(8));
     t.add_handler(rec.clone());
     let w = SslWorld::new(Some(t.clone()));
     w.fetch_url(false, false).unwrap();
-    assert!(rec.len() <= 8, "bounded recorder must cap at its capacity");
+    assert!(rec.total_recorded() > 0);
+    assert!(
+        rec.snapshot().len() <= 8 * rec.thread_count(),
+        "bounded recorder must cap at its capacity"
+    );
     let snap = t.metrics().snapshot();
     let c = snap.classes.first().expect("figure 6 class");
     assert!(c.news > 0);
