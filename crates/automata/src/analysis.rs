@@ -605,15 +605,15 @@ pub fn compare_languages(a: &Automaton, b: &Automaton) -> Option<LanguageRelatio
     })
 }
 
-/// Groups of indistinguishable raw-DFA states of `d` (each group has
-/// ≥ 2 members, sorted): states with the same acceptance and
+/// Groups of indistinguishable states of `d`, the DFA of `a` (each
+/// group has ≥ 2 members, sorted): states with the same acceptance and
 /// cleanup-safety whose successor structure cannot be told apart.
 /// The subset construction of a well-factored assertion yields none;
 /// duplicated branches (e.g. `a ^ a`, or an `||` arm repeated) do.
 ///
 /// Indices refer to `d`'s states, matching the DOT renderer's
 /// `s{i}` node names, so findings can be highlighted directly.
-pub fn merge_groups(d: &Dfa) -> Vec<Vec<u32>> {
+pub fn merge_groups(a: &Automaton, d: &Dfa) -> Vec<Vec<u32>> {
     let n = d.n_states();
     let n_syms = d.n_symbols();
     // Complete the partial DFA with an explicit dead sink at index n.
@@ -622,7 +622,7 @@ pub fn merge_groups(d: &Dfa) -> Vec<Vec<u32>> {
         .flat_map(|s| (0..n_syms as u32).map(move |c| d.next(s, SymbolId(c)).unwrap_or(sink)))
         .collect();
     table.resize(table.len() + n_syms, sink);
-    let mut accepting: Vec<bool> = d.accepting.clone();
+    let mut accepting: Vec<bool> = d.states.iter().map(|s| a.accepting.intersects(s)).collect();
     accepting.push(false);
     let complete = CompleteDfa {
         n_syms,
@@ -632,7 +632,7 @@ pub fn merge_groups(d: &Dfa) -> Vec<Vec<u32>> {
     };
     // Initial classes: (accepting, cleanup_safe), sink on its own.
     let mut classes: Vec<u32> = (0..n)
-        .map(|i| u32::from(d.accepting[i]) | (u32::from(d.cleanup_safe[i]) << 1))
+        .map(|i| u32::from(complete.accepting[i]) | (u32::from(a.finalise_ok(&d.states[i])) << 1))
         .collect();
     classes.push(4);
     let (_, map) = complete.minimise_classes(&classes);
@@ -826,7 +826,7 @@ mod tests {
         let d = Dfa::from_automaton(&xor_dup());
         // xor introduces two alternative one-event paths whose
         // post-event states are indistinguishable.
-        let groups = merge_groups(&d);
+        let groups = merge_groups(&xor_dup(), &d);
         assert!(!groups.is_empty(), "xor duplicate states should merge");
         assert!(groups.iter().all(|g| g.len() >= 2));
     }
@@ -835,7 +835,7 @@ mod tests {
     fn merge_groups_clean_on_chain_and_or() {
         for a in [chain(), or_pair()] {
             let d = Dfa::from_automaton(&a);
-            assert!(merge_groups(&d).is_empty(), "{}", a.name);
+            assert!(merge_groups(&a, &d).is_empty(), "{}", a.name);
         }
     }
 

@@ -20,7 +20,7 @@
 //! are identical by construction).
 
 use crate::automaton::{compile, Automaton};
-use crate::compiled::CompiledDfa;
+use crate::dfa::Dfa;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::CompileError;
 use std::collections::HashMap;
@@ -34,9 +34,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// An automaton paired with its transition matrix, `None` outside the
-/// compilable fragment.
-type WithDfa = (Arc<Automaton>, Option<Arc<CompiledDfa>>);
+/// An automaton paired with the DFA the runtime steps it on, `None`
+/// outside that fragment ([`Dfa::build`]).
+type WithDfa = (Arc<Automaton>, Option<Arc<Dfa>>);
 
 /// A memo table from assertion content fingerprints to compiled
 /// automata. Cheap to share (`Arc<CompileCache>`), safe to call from
@@ -44,11 +44,11 @@ type WithDfa = (Arc<Automaton>, Option<Arc<CompiledDfa>>);
 #[derive(Debug, Default)]
 pub struct CompileCache {
     map: Mutex<HashMap<u64, Arc<Automaton>>>,
-    /// Dense transition matrices keyed by the same fingerprint.
-    /// `Some(None)` records "this automaton is outside the compilable
-    /// fragment" so repeated registrations skip re-running subset
-    /// construction just to fail again.
-    dfa_map: Mutex<HashMap<u64, Option<Arc<CompiledDfa>>>>,
+    /// [`Dfa::build`] results keyed by the same fingerprint.
+    /// `Some(None)` records "this automaton has no runtime DFA" so
+    /// repeated registrations skip re-running subset construction
+    /// just to fail again.
+    dfa_map: Mutex<HashMap<u64, Option<Arc<Dfa>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -114,11 +114,11 @@ impl CompileCache {
             .collect()
     }
 
-    /// Compile `entry`'s automaton *and* its dense transition matrix
-    /// (when one exists), both memoised by content fingerprint. The
-    /// matrix's `None` outcome (guards / state blow-up) is memoised
-    /// too, so re-registering an uncompilable automaton costs one map
-    /// probe, not a subset construction.
+    /// Compile `entry`'s automaton *and* its runtime [`Dfa`] (when one
+    /// exists), both memoised by content fingerprint. The DFA's `None`
+    /// outcome (guards / state blow-up) is memoised too, so
+    /// re-registering such an automaton costs one map probe, not a
+    /// subset construction.
     ///
     /// # Errors
     ///
@@ -134,14 +134,14 @@ impl CompileCache {
         }
         // Subset construction outside the lock, first-insert-wins —
         // same discipline as the automaton map.
-        let dfa = CompiledDfa::build(&automaton).map(Arc::new);
+        let dfa = Dfa::build(&automaton).map(Arc::new);
         let mut map = lock(&self.dfa_map);
         Ok((automaton, map.entry(key).or_insert(dfa).clone()))
     }
 
     /// [`CompileCache::compile_manifest`], with each automaton paired
-    /// with its memoised transition matrix (or `None` for automata
-    /// outside the compilable fragment). Positionally aligned with
+    /// with its memoised runtime [`Dfa`] (or `None` for automata
+    /// outside that fragment). Positionally aligned with
     /// `manifest.entries`.
     ///
     /// # Errors

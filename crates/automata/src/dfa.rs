@@ -4,19 +4,22 @@
 //! sets they stand for ("NFA:1,3"); [`Dfa`] is exactly that structure.
 //! It backs offline analysis, state-graph rendering, the rows of the
 //! runtime's transition-weight tables and the fuzzer's coverage cells,
-//! and serves as a differential-testing oracle: a property test checks
-//! NFA and DFA acceptance agree on random words.
+//! serves as a differential-testing oracle (a property test checks
+//! that NFA and DFA reach the same state sets on random words), and is
+//! the table the runtime steps instances on ([`Dfa::build`]).
 //!
 //! Every DFA in this crate comes from one breadth-first routine,
-//! `explore`: [`Dfa`] itself, the runtime's dispatch matrices
-//! ([`crate::CompiledDfa`]), the lint closure ([`crate::Closure`]) and
-//! the synchronized product ([`crate::CompleteDfa::product`]). State
-//! ids are its discovery order, so the DOT node ids, weight rows, lint
-//! L004 state groups and coverage cells of an automaton all agree.
+//! `explore`: [`Dfa`] itself, the lint closure ([`crate::Closure`])
+//! and the synchronized product ([`crate::CompleteDfa::product`]).
+//! State ids are its discovery order, so the DOT node ids, weight
+//! rows, runtime instance rows, lint L004 state groups and coverage
+//! cells of an automaton all agree.
 //!
-//! Guards are ignored here (treated as always passing): the DFA is a
-//! *structural* view.
+//! Guards are ignored by [`Dfa::from_automaton`] (treated as always
+//! passing): that DFA is a *structural* view. [`Dfa::build`] refuses
+//! guarded automata instead.
 
+use crate::analysis::has_guards;
 use crate::automaton::Automaton;
 use crate::bitset::StateSet;
 use crate::symbol::SymbolId;
@@ -25,6 +28,13 @@ use std::hash::Hash;
 
 /// The "no successor" cell of an `explore` table.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Cap on the states of a DFA the runtime steps ([`Dfa::build`]).
+///
+/// Bounds its table at `MAX_DFA_STATES × n_symbols × 4` bytes;
+/// assertions from the paper's corpora determinise to well under a
+/// hundred states.
+pub const MAX_DFA_STATES: usize = 4096;
 
 /// What `explore` builds: the keys in id order, the row-major
 /// `keys × n_cols` successor table, and the key → id index.
@@ -96,6 +106,10 @@ pub(crate) fn body_step(
 }
 
 /// A determinised view of an [`Automaton`]'s body.
+///
+/// Whether a state accepts, or may be finalised, is a fact about the
+/// NFA set it stands for: `automaton.accepting.intersects(&states[s])`
+/// and [`Automaton::finalise_ok`].
 #[derive(Debug, Clone)]
 pub struct Dfa {
     /// For each DFA state, the NFA state set it represents (the
@@ -104,42 +118,48 @@ pub struct Dfa {
     /// Row-major successor table, [`NONE`] for "no transition"; read
     /// through [`Dfa::next`].
     table: Vec<u32>,
+    /// NFA set → DFA state, as `explore` built it; read through
+    /// [`Dfa::resolve`].
+    index: HashMap<StateSet, u32>,
     n_symbols: usize,
     /// DFA start state (always 0).
     pub start: u32,
-    /// DFA states containing at least one accepting NFA state.
-    pub accepting: Vec<bool>,
-    /// DFA states containing at least one cleanup-safe NFA state.
-    pub cleanup_safe: Vec<bool>,
 }
 
 impl Dfa {
-    /// Determinise `automaton`'s body via subset construction.
+    /// Determinise `automaton`'s body via subset construction,
+    /// uncapped, with every guard passing.
     pub fn from_automaton(automaton: &Automaton) -> Dfa {
+        Dfa::determinise(automaton, usize::MAX).expect("uncapped subset construction completes")
+    }
+
+    /// The DFA the runtime steps instances on, or `None` when the
+    /// automaton is outside that fragment: it has guarded transitions
+    /// (a guard is a fact about the thread's call stack, which a DFA
+    /// state cannot see) or its subset construction exceeds
+    /// [`MAX_DFA_STATES`].
+    pub fn build(automaton: &Automaton) -> Option<Dfa> {
+        if has_guards(automaton) {
+            return None;
+        }
+        Dfa::determinise(automaton, MAX_DFA_STATES)
+    }
+
+    fn determinise(automaton: &Automaton, cap: usize) -> Option<Dfa> {
         let n_symbols = automaton.n_symbols();
-        let (states, table, _) = explore(
+        let (states, table, index) = explore(
             automaton.initial_states(),
             n_symbols,
-            usize::MAX,
+            cap,
             body_step(automaton),
-        )
-        .expect("uncapped subset construction completes");
-        let accepting = states
-            .iter()
-            .map(|s| automaton.accepting.intersects(s))
-            .collect();
-        let cleanup_safe = states
-            .iter()
-            .map(|s| automaton.cleanup_safe.intersects(s))
-            .collect();
-        Dfa {
+        )?;
+        Some(Dfa {
             states,
             table,
+            index,
             n_symbols,
             start: 0,
-            accepting,
-            cleanup_safe,
-        }
+        })
     }
 
     /// Number of DFA states.
@@ -154,6 +174,7 @@ impl Dfa {
 
     /// The successor of `state` on `sym`; `None` when the run dies
     /// there or `sym` is outside the alphabet.
+    #[inline]
     pub fn next(&self, state: u32, sym: SymbolId) -> Option<u32> {
         let sym = sym.0 as usize;
         if sym >= self.n_symbols {
@@ -161,6 +182,12 @@ impl Dfa {
         }
         let t = self.table[state as usize * self.n_symbols + sym];
         (t != NONE).then_some(t)
+    }
+
+    /// The DFA state that stands for `set`, if `set` is one of the
+    /// subsets the construction reached.
+    pub fn resolve(&self, set: &StateSet) -> Option<u32> {
+        self.index.get(set).copied()
     }
 
     /// Every transition as `(from, symbol, to)`, row by row.
@@ -181,15 +208,6 @@ impl Dfa {
             .try_fold(self.start, |s, &sym| self.next(s, sym))
     }
 
-    /// Does the DFA accept the word (ignoring TESLA's
-    /// ignore-unmatched-events semantics — pure regular-language
-    /// acceptance)?
-    pub fn accepts(&self, word: &[SymbolId]) -> bool {
-        self.run(word)
-            .map(|s| self.accepting[s as usize])
-            .unwrap_or(false)
-    }
-
     /// The fig. 9 style label of a DFA state: `"NFA:1,3"`.
     pub fn label(&self, state: u32) -> String {
         let members: Vec<String> = self.states[state as usize]
@@ -201,7 +219,7 @@ impl Dfa {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::automaton::compile;
     use tesla_prop::{check, prop_assert_eq};
@@ -221,7 +239,9 @@ mod tests {
         a.accepting.intersects(&states)
     }
 
-    fn sample_automata() -> Vec<Automaton> {
+    /// Guard-free automata of four shapes: a chain, a three-way
+    /// inclusive OR, a sequence OR'd with a call, and `eventually`.
+    pub(crate) fn sample_automata() -> Vec<Automaton> {
         let simple = AssertionBuilder::syscall()
             .previously(call("check").any_ptr().returns(0))
             .build()
@@ -308,6 +328,39 @@ mod tests {
     }
 
     #[test]
+    fn resolve_round_trips_every_state() {
+        for a in sample_automata() {
+            let d = Dfa::build(&a).expect("guard-free");
+            for s in 0..d.n_states() as u32 {
+                assert_eq!(d.resolve(&d.states[s as usize]), Some(s));
+            }
+            assert_eq!(d.resolve(&StateSet::EMPTY), None);
+        }
+    }
+
+    #[test]
+    fn build_refuses_guarded_automata() {
+        // `incallstack` is a guard: a fact about the call stack that a
+        // DFA state cannot see.
+        let guarded = AssertionBuilder::syscall()
+            .body(
+                ExprBuilder::in_callstack("ufs_readdir")
+                    .or(ExprBuilder::from(call("check").returns(0)).then(ExprBuilder::site())),
+            )
+            .build()
+            .unwrap();
+        let guarded = compile(&guarded).unwrap();
+        assert!(Dfa::build(&guarded).is_none());
+        assert!(Dfa::from_automaton(&guarded).n_states() >= 2);
+        for a in sample_automata() {
+            let (built, structural) =
+                (Dfa::build(&a).expect("guard-free"), Dfa::from_automaton(&a));
+            assert_eq!(built.states, structural.states);
+            assert_eq!(built.table, structural.table);
+        }
+    }
+
+    #[test]
     fn dfa_and_nfa_agree_on_random_words() {
         check(
             256,
@@ -322,7 +375,10 @@ mod tests {
                     .filter(|s| *s != a.init_sym && *s != a.cleanup_sym)
                     .collect();
                 let d = Dfa::from_automaton(a);
-                prop_assert_eq!(d.accepts(&word), nfa_accepts(a, &word));
+                let dfa_accepts = d
+                    .run(&word)
+                    .is_some_and(|s| a.accepting.intersects(&d.states[s as usize]));
+                prop_assert_eq!(dfa_accepts, nfa_accepts(a, &word));
                 Ok(())
             },
         );

@@ -202,8 +202,8 @@ fn render_inner(
         "  exit [label=\"{}\\n(Exit)\", shape=box];",
         esc(&automaton.bound.end_fn)
     );
-    for (i, _set) in dfa.states.iter().enumerate() {
-        let style = if dfa.accepting[i] {
+    for (i, set) in dfa.states.iter().enumerate() {
+        let style = if automaton.accepting.intersects(set) {
             ", peripheries=2"
         } else {
             ""
@@ -261,8 +261,8 @@ fn render_inner(
         );
     }
     // «cleanup» edges from cleanup-safe states.
-    for (i, safe) in dfa.cleanup_safe.iter().enumerate() {
-        if *safe {
+    for (i, set) in dfa.states.iter().enumerate() {
+        if automaton.finalise_ok(set) {
             let _ = writeln!(out, "  s{i} -> exit [label=\"«cleanup»\", style=dashed];");
         }
     }
@@ -399,7 +399,7 @@ mod tests {
             .unwrap();
         let auto = compile(&a).unwrap();
         let dfa = Dfa::from_automaton(&auto);
-        let groups = crate::analysis::merge_groups(&dfa);
+        let groups = crate::analysis::merge_groups(&auto, &dfa);
         assert!(!groups.is_empty(), "xor shape should have mergeable states");
         let dot = render_with_merge_groups(&auto, &groups);
         // Every state in the first group carries the same fill.

@@ -10,7 +10,7 @@
 //!
 //! ```ignore
 //! std::fs::write("tests/golden/or3_product.dot", dot::render(&or3(), &Unweighted)).unwrap();
-//! let groups = merge_groups(&Dfa::from_automaton(&xor()));
+//! let groups = merge_groups(&xor(), &Dfa::from_automaton(&xor()));
 //! std::fs::write("tests/golden/xor_merge_groups.dot", dot::render_with_merge_groups(&xor(), &groups)).unwrap();
 //! ```
 
@@ -53,7 +53,7 @@ fn or_cross_product_dot_matches_golden() {
 #[test]
 fn xor_merge_groups_dot_matches_golden() {
     let a = xor();
-    let groups = merge_groups(&Dfa::from_automaton(&a));
+    let groups = merge_groups(&a, &Dfa::from_automaton(&a));
     assert_eq!(groups, vec![vec![1, 2]]);
     let dot = dot::render_with_merge_groups(&a, &groups);
     let golden = include_str!("golden/xor_merge_groups.dot");

@@ -1010,7 +1010,7 @@ fn saturation_engine(compiled: bool) -> (Arc<Tesla>, Vec<(NameId, NameId)>) {
         // The pre-PR world: interpreted NFA stepping, no DFA matrix.
         let pairs = automata
             .into_iter()
-            .map(|a| (Arc::new(a), None::<Arc<tesla::automata::CompiledDfa>>))
+            .map(|a| (Arc::new(a), None::<Arc<tesla::automata::Dfa>>))
             .collect();
         engine.register_batch_compiled(pairs).unwrap();
     }

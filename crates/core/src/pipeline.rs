@@ -243,8 +243,8 @@ pub struct BuildArtifacts {
     pub timings: StageTimings,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// The build's shared compile cache: automata and their compiled
-    /// transition matrices, memoised by assertion content
+    /// The build's shared compile cache: automata and the DFAs their
+    /// instances step on, memoised by assertion content
     /// fingerprint. Engine registration resolves through it so
     /// subset construction runs once per build system, not once per
     /// engine.

@@ -351,8 +351,8 @@ pub fn register_manifest(tesla: &Tesla, manifest: &Manifest) -> Result<Vec<Class
     tesla.register_batch(automata).map_err(|e| e.to_string())
 }
 
-/// [`register_manifest`], resolving automata *and* their compiled
-/// transition matrices through a shared
+/// [`register_manifest`], resolving automata *and* the DFAs their
+/// instances step on through a shared
 /// [`tesla_automata::CompileCache`]: the build's memoised subset
 /// constructions are reused instead of re-run per engine, so a
 /// `run` + `replay` pair (or repeated runs under one build system)

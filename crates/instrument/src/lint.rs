@@ -273,7 +273,7 @@ pub fn lint_compiled(manifest: &Manifest, automata: &[Automaton]) -> Vec<LintFin
             continue;
         }
         let dfa = Dfa::from_automaton(a);
-        let groups = analysis::merge_groups(&dfa);
+        let groups = analysis::merge_groups(a, &dfa);
         let unreachable = analysis::unreachable_states(a, &dfa);
         if !groups.is_empty() || !unreachable.is_empty() {
             findings.push(LintFinding::DeadStates {

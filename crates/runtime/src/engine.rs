@@ -89,7 +89,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use tesla_automata::{Automaton, CompiledDfa, Direction, Guard, Symbol, SymbolId, SymbolKind};
+use tesla_automata::{Automaton, Dfa, Direction, Guard, Symbol, SymbolId, SymbolKind};
 use tesla_spec::{ArgPattern, Context, FieldOp, Value};
 
 /// Identifies a registered automaton class.
@@ -253,12 +253,12 @@ pub struct ClassDef {
     /// other engine registered from it) rather than cloned per
     /// registration.
     pub automaton: Arc<Automaton>,
-    /// Dense `(state × symbol) → state` transition matrix for the
-    /// guard-free fragment ([`CompiledDfa`]); `None` keeps this class
-    /// on the interpreted NFA path. Never a semantic fork: compiled
-    /// instances keep materialising the same [`tesla_automata::StateSet`]s
-    /// the interpreter would.
-    pub compiled: Option<Arc<CompiledDfa>>,
+    /// The DFA this class's instances step on ([`Dfa::build`]), or
+    /// `None` (guards, or too many states): the instances then step
+    /// the NFA. Never a semantic fork: a row stands for exactly the
+    /// NFA states the interpreter would reach, and debug builds check
+    /// it on every step.
+    pub compiled: Option<Arc<Dfa>>,
     /// Bound-group id.
     pub group: u32,
     /// Instance-table capacity.
@@ -808,7 +808,7 @@ impl Tesla {
         let pairs = automata
             .into_iter()
             .map(|a| {
-                let compiled = CompiledDfa::build(&a).map(Arc::new);
+                let compiled = Dfa::build(&a).map(Arc::new);
                 (Arc::new(a), compiled)
             })
             .collect();
@@ -816,11 +816,11 @@ impl Tesla {
     }
 
     /// [`Tesla::register_batch`] over pre-shared automata with their
-    /// memoised transition matrices, as produced by
+    /// memoised DFAs ([`Dfa::build`]), as produced by
     /// [`tesla_automata::CompileCache::compile_manifest_with_dfas`] —
     /// the batch path that never re-runs subset construction for an
-    /// automaton the cache has already compiled (or already proved
-    /// uncompilable).
+    /// automaton the cache has already determinised (or already found
+    /// to have no runtime DFA).
     ///
     /// # Errors
     ///
@@ -828,7 +828,7 @@ impl Tesla {
     /// limits; on error nothing is registered.
     pub fn register_batch_compiled(
         &self,
-        pairs: Vec<(Arc<Automaton>, Option<Arc<CompiledDfa>>)>,
+        pairs: Vec<(Arc<Automaton>, Option<Arc<Dfa>>)>,
     ) -> Result<Vec<ClassId>, RegisterError> {
         for (a, _) in &pairs {
             if a.var_names.len() > MAX_VARS {
@@ -855,7 +855,7 @@ impl Tesla {
         &self,
         next: &mut Snapshot,
         automaton: Arc<Automaton>,
-        compiled: Option<Arc<CompiledDfa>>,
+        compiled: Option<Arc<Dfa>>,
     ) -> u32 {
         let tables = &mut next.tables;
         let class = next.classes.len() as u32;

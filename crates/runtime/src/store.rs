@@ -2,9 +2,11 @@
 //!
 //! Each store (one global, one per thread) holds, for every automaton
 //! class, a *preallocated, fixed-capacity* table of instances. An
-//! instance is a current NFA state set plus a partial variable→value
+//! instance is one automaton [`State`] plus a partial variable→value
 //! binding; the instance "name" of the paper — `(∗)`, `(vp₁)`, … — is
-//! exactly that binding.
+//! exactly that binding. The state is a row of the class's [`Dfa`]
+//! when it has one, and an NFA state set otherwise; debug builds step
+//! the NFA beside every DFA step and check that the two agree.
 //!
 //! The lifecycle:
 //!
@@ -15,11 +17,11 @@
 //!   know *clones* it: the original stays general, the clone is
 //!   specialised (`(∗)` → `(vp₁)` in state 2, fig. 9).
 //! * **Update** — an event whose bindings agree with the instance
-//!   moves its state set in place.
+//!   moves its state in place.
 //! * **Error** — an assertion-site event that no instance can take is
 //!   a violation.
 //! * **Cleanup** — leaving the bound finalises every instance:
-//!   acceptance if its state set intersects the cleanup-safe set,
+//!   acceptance if its NFA states intersect the cleanup-safe set,
 //!   violation otherwise; then the table is expunged.
 
 use crate::engine::{ClassDef, EvictionPolicy, DEGRADED_SAMPLE};
@@ -27,19 +29,40 @@ use crate::event::{LifecycleEvent, Violation, ViolationKind};
 use crate::faults::FaultKind;
 use crate::handlers::Dispatch;
 use crate::MAX_VARS;
-use tesla_automata::compiled::DEAD;
-use tesla_automata::{Guard, StateSet, SymbolId};
+use tesla_automata::{Dfa, Guard, StateSet, SymbolId};
 use tesla_spec::Value;
 
-/// [`Instance::dfa`] sentinel: this instance is not tracked by a
-/// compiled transition matrix and steps the interpreted NFA.
-pub const NO_DFA: u16 = u16::MAX;
+/// Where an instance is in its automaton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum State {
+    /// A row of the class's [`Dfa`], standing for the NFA states
+    /// `dfa.states[row]`.
+    Row(u32),
+    /// NFA states, stepped by the interpreter: the class has no DFA
+    /// ([`Dfa::build`] refused it), or a dedup union reached a set the
+    /// DFA does not have.
+    Set(StateSet),
+}
 
-/// One automaton instance: a state set plus a partial binding.
+impl State {
+    /// The NFA states this stands for, given the class's DFA.
+    ///
+    /// # Panics
+    ///
+    /// On a row of a class without a DFA: rows only come from one.
+    pub fn nfa(self, dfa: Option<&Dfa>) -> StateSet {
+        match self {
+            State::Row(row) => dfa.expect("a row comes from the class's DFA").states[row as usize],
+            State::Set(set) => set,
+        }
+    }
+}
+
+/// One automaton instance: a state plus a partial binding.
 #[derive(Debug, Clone, Copy)]
 pub struct Instance {
-    /// Current NFA states.
-    pub states: StateSet,
+    /// Current state.
+    pub state: State,
     /// Variable values; only slots with the corresponding `known` bit
     /// set are meaningful.
     pub bindings: [Value; MAX_VARS],
@@ -49,23 +72,16 @@ pub struct Instance {
     /// the recency key for LRU eviction under
     /// [`crate::Config::max_instances`].
     pub touch: u64,
-    /// Compiled-matrix state mirroring [`Instance::states`], or
-    /// [`NO_DFA`] when the class has no matrix (guards) or the
-    /// instance left the matrix's reachable set. `states` stays
-    /// authoritative for every report and verdict; this is purely the
-    /// dispatch accelerator.
-    pub dfa: u16,
 }
 
 impl Instance {
     /// The unnamed `(∗)` instance in the automaton's start state.
-    pub fn unnamed(start: StateSet) -> Instance {
+    pub fn unnamed(start: State) -> Instance {
         Instance {
-            states: start,
+            state: start,
             bindings: [Value::NULL; MAX_VARS],
             known: 0,
             touch: 0,
-            dfa: NO_DFA,
         }
     }
 
@@ -133,9 +149,10 @@ pub struct Store {
     /// Monotonic event clock; stamps [`Instance::touch`].
     pub tick: u64,
     /// Scratch list of the clones one [`Store::apply_event`] creates,
-    /// as `(source slot, instance)`. Owned by the store so that
-    /// steady-state events reuse its allocation.
-    clones: Vec<(u32, Instance)>,
+    /// as `(source slot, source state before the event, instance)`.
+    /// Owned by the store so that steady-state events reuse its
+    /// allocation.
+    clones: Vec<(u32, State, Instance)>,
 }
 
 /// What `apply_event` observed.
@@ -205,11 +222,12 @@ impl Store {
                 .reserve_exact(def.capacity - cs.instances.capacity());
         }
         let slot = cs.instances.len() as u32;
-        let mut star = Instance::unnamed(def.automaton.initial_states());
+        let start = match def.compiled.as_deref() {
+            Some(dfa) => State::Row(dfa.start),
+            None => State::Set(def.automaton.initial_states()),
+        };
+        let mut star = Instance::unnamed(start);
         star.touch = tick;
-        if let Some(c) = def.compiled.as_deref() {
-            star.dfa = c.start();
-        }
         cs.instances.push(star);
         self.groups[def.group as usize].materialized.push(class);
         // Events are built once and shared by every handler: handler
@@ -238,6 +256,7 @@ impl Store {
         d: &Dispatch<'_>,
     ) -> ApplyOutcome {
         let auto = &def.automaton;
+        let dfa = def.compiled.as_deref();
         self.tick += 1;
         let tick = self.tick;
         let cs = &mut self.classes[class as usize];
@@ -272,22 +291,24 @@ impl Store {
             if !compatible {
                 continue;
             }
-            // Compiled fast path: one dense matrix load instead of the
-            // per-symbol transition-list walk. Equivalent by
-            // construction — the matrix row was precomputed with
-            // exactly `auto.step` over a guard-free automaton.
-            let (next, next_dfa) = match def.compiled.as_deref() {
-                Some(c) if inst.dfa != NO_DFA => {
-                    let nd = c.step(inst.dfa, sym);
-                    if nd == DEAD {
-                        (StateSet::EMPTY, NO_DFA)
-                    } else {
-                        (c.states(nd), nd)
-                    }
+            // A row steps with one table load instead of the
+            // per-symbol transition-list walk; `Dfa::build` made the
+            // table with exactly `auto.step` over a guard-free
+            // automaton.
+            let next = match inst.state {
+                State::Row(row) => {
+                    let dfa = dfa.expect("a row comes from the class's DFA");
+                    let next = dfa.next(row, sym);
+                    #[cfg(debug_assertions)]
+                    shadow_check(class, auto, dfa, row, sym, next, &mut *guard_ok);
+                    next.map(State::Row)
                 }
-                _ => (auto.step(&inst.states, sym, &mut *guard_ok), NO_DFA),
+                State::Set(set) => {
+                    let next = auto.step(&set, sym, &mut *guard_ok);
+                    (!next.is_empty()).then_some(State::Set(next))
+                }
             };
-            if next.is_empty() {
+            let Some(next) = next else {
                 if auto.strict && !is_site {
                     let v = def.violation(
                         ViolationKind::Strict,
@@ -311,11 +332,9 @@ impl Store {
                 }
                 // Irrelevant at this instance's progress: ignore.
                 continue;
-            }
+            };
             if specialise_known == 0 {
-                let from = inst.states;
-                cs.instances[i].states = next;
-                cs.instances[i].dfa = next_dfa;
+                cs.instances[i].state = next;
                 cs.instances[i].touch = tick;
                 out.matched = true;
                 // The governor may sample these hot-path notifications
@@ -326,8 +345,8 @@ impl Store {
                         class,
                         instance: i as u32,
                         sym,
-                        from_states: from,
-                        to_states: next,
+                        from_states: inst.state.nfa(dfa),
+                        to_states: next.nfa(dfa),
                     });
                 }
             } else {
@@ -338,17 +357,18 @@ impl Store {
                         clone.bindings[v] = val;
                     }
                 }
-                clone.states = next;
-                clone.dfa = next_dfa;
+                clone.state = next;
                 clone.touch = tick;
                 out.matched = true;
-                clones.push((i as u32, clone));
+                // The source's state goes with the clone: an earlier
+                // clone of this event may evict the source's slot.
+                clones.push((i as u32, inst.state, clone));
             }
         }
         // The effective instance bound: the governance quota, if set,
         // never exceeds the preallocation capacity.
         let limit = def.quota.map_or(def.capacity, |q| q.min(def.capacity));
-        for (src, clone) in clones.drain(..) {
+        for (src, src_state, clone) in clones.drain(..) {
             // Shed a sampled share of new specialisations — bounded
             // work in exchange for bounded memory (degraded mode) or a
             // held overhead SLO (governor with `allow_shed`). Each
@@ -377,18 +397,16 @@ impl Store {
                 .iter()
                 .position(|e| e.known == clone.known && same_bindings(e, &clone))
             {
-                let from = cs.instances[j].states;
-                cs.instances[j].states.union_with(&clone.states);
+                let from = cs.instances[j].state.nfa(dfa);
+                let mut to = from;
+                to.union_with(&clone.state.nfa(dfa));
+                // The union may be a set the DFA never reached: the
+                // instance then steps the NFA until a later union
+                // resolves to a row again.
+                cs.instances[j].state = dfa
+                    .and_then(|dfa| dfa.resolve(&to))
+                    .map_or(State::Set(to), State::Row);
                 cs.instances[j].touch = tick;
-                let to = cs.instances[j].states;
-                // A merged set may leave the matrix's reachable space;
-                // re-resolve, falling back to interpretation when it
-                // does.
-                cs.instances[j].dfa = def
-                    .compiled
-                    .as_deref()
-                    .and_then(|c| c.resolve(&to))
-                    .unwrap_or(NO_DFA);
                 if from != to && !d.is_empty() {
                     d.notify(&LifecycleEvent::Update {
                         class,
@@ -404,18 +422,19 @@ impl Store {
                 if !d.is_empty() {
                     // A clone is also a consumed transition: report it
                     // for coverage/weighted graphs.
+                    let states = clone.state.nfa(dfa);
                     d.notify(&LifecycleEvent::Clone {
                         class,
                         from_instance: src,
                         to_instance: slot,
-                        states: clone.states,
+                        states,
                     });
                     d.notify(&LifecycleEvent::Update {
                         class,
                         instance: slot,
                         sym,
-                        from_states: cs.instances[src as usize].states,
-                        to_states: clone.states,
+                        from_states: src_state.nfa(dfa),
+                        to_states: states,
                     });
                 }
             } else if def.eviction == EvictionPolicy::Lru {
@@ -426,7 +445,6 @@ impl Store {
                 let j = (0..cs.instances.len())
                     .min_by_key(|&i| cs.instances[i].touch)
                     .expect("limit >= 1 implies a live instance");
-                let from_states = cs.instances[src as usize].states;
                 cs.instances[j] = clone;
                 cs.degraded = true;
                 d.notify(&LifecycleEvent::Evicted {
@@ -434,18 +452,19 @@ impl Store {
                     instance: j as u32,
                 });
                 if !d.is_empty() {
+                    let states = clone.state.nfa(dfa);
                     d.notify(&LifecycleEvent::Clone {
                         class,
                         from_instance: src,
                         to_instance: j as u32,
-                        states: clone.states,
+                        states,
                     });
                     d.notify(&LifecycleEvent::Update {
                         class,
                         instance: j as u32,
                         sym,
-                        from_states,
-                        to_states: clone.states,
+                        from_states: src_state.nfa(dfa),
+                        to_states: states,
                     });
                 }
             } else {
@@ -488,10 +507,11 @@ impl Store {
         d: &Dispatch<'_>,
     ) -> Option<Violation> {
         let auto = &def.automaton;
+        let dfa = def.compiled.as_deref();
         let cs = &mut self.classes[class as usize];
         let mut violation = None;
         for (i, inst) in cs.instances.iter().enumerate() {
-            let accepted = auto.finalise_ok(&inst.states);
+            let accepted = auto.finalise_ok(&inst.state.nfa(dfa));
             d.notify(&LifecycleEvent::Finalise {
                 class,
                 instance: i as u32,
@@ -528,6 +548,31 @@ impl Store {
     }
 }
 
+/// Debug builds check every DFA step against the NFA it stands for:
+/// stepped from the row's NFA states, the NFA must reach the
+/// successor row's states, or nothing where the row dies.
+#[cfg(debug_assertions)]
+fn shadow_check(
+    class: u32,
+    auto: &tesla_automata::Automaton,
+    dfa: &Dfa,
+    row: u32,
+    sym: SymbolId,
+    next: Option<u32>,
+    guard_ok: &mut dyn FnMut(&Guard) -> bool,
+) {
+    let nfa = auto.step(&dfa.states[row as usize], sym, guard_ok);
+    let reached = next.map_or(StateSet::EMPTY, |n| dfa.states[n as usize]);
+    assert!(
+        nfa == reached,
+        "DFA step disagrees with the NFA: class {class} ({}), row {row}, symbol {} ({}): \
+         the DFA reached {reached:?}, the NFA {nfa:?}",
+        auto.name,
+        sym.0,
+        auto.symbols[sym.0 as usize].kind,
+    );
+}
+
 fn same_bindings(a: &Instance, b: &Instance) -> bool {
     for v in 0..MAX_VARS {
         if b.known & (1 << v) != 0 && a.bindings[v] != b.bindings[v] {
@@ -554,13 +599,13 @@ mod tests {
 
     #[test]
     fn unnamed_instance_has_star_name() {
-        let i = Instance::unnamed(StateSet::singleton(0));
+        let i = Instance::unnamed(State::Set(StateSet::singleton(0)));
         assert_eq!(i.name(&["so".into()]), "(∗)");
     }
 
     #[test]
     fn named_instance_lists_bindings() {
-        let mut i = Instance::unnamed(StateSet::singleton(1));
+        let mut i = Instance::unnamed(State::Row(1));
         i.known = 0b101;
         i.bindings[0] = Value(7);
         i.bindings[2] = Value(9);

@@ -11,8 +11,9 @@
 //! deterministic counter export (`export::json_counters`) must all be
 //! byte-identical — a FailStop verdict in the middle of a batch stops
 //! at exactly the same event ordinal as the hooks. A second axis pits
-//! interpreted NFA stepping against the compiled transition matrices:
-//! same oracle, same requirement.
+//! interpreted NFA stepping against DFA rows: same oracle, same
+//! requirement. Debug builds also check every row step against the
+//! NFA, so this axis is the check that release builds keep.
 
 use std::sync::Arc;
 use tesla_automata::compile;
@@ -144,7 +145,7 @@ fn ingest_all(t: &Tesla, events: &[IngressEvent]) -> Result<IngressStats, DriveE
 }
 
 /// Run `ops` through a fresh engine along `path`. `dfa` false forces
-/// interpreted NFA stepping instead of the compiled matrices;
+/// interpreted NFA stepping instead of DFA rows;
 /// `govern` attaches a non-escalating governor (huge SLO) so its
 /// per-event tick runs on every path without perturbing sampling
 /// determinism.

@@ -5,10 +5,10 @@
 //! naive-vs-lazy initialisation equivalence.
 
 use std::sync::Arc;
-use tesla_automata::compile;
+use tesla_automata::{compile, Dfa};
 use tesla_runtime::{
-    engine::reset_thread_state, Config, FailMode, InitMode, MetricsRegistry, RecordingHandler,
-    Tesla, Violation, ViolationKind,
+    engine::reset_thread_state, Config, EvictionPolicy, FailMode, InitMode, LifecycleEvent,
+    MetricsRegistry, RecordingHandler, Tesla, Violation, ViolationKind,
 };
 use tesla_spec::{call, field_assign, msg_send, AssertionBuilder, ExprBuilder, FieldOp, Value};
 
@@ -1030,4 +1030,111 @@ fn registry_counts_classes_past_its_dense_table() {
     );
     assert_eq!((high.news, high.clones, high.updates), (1, 1, 2));
     assert_eq!(m.class(1_050).expect("counters").news(), 1);
+}
+
+/// Under LRU eviction, an earlier clone of one event can take the slot
+/// of a later clone's source. The later clone must still report the
+/// state its source was in before the event: the weights, coverage
+/// cells and flight recorder all read it as the edge the clone took.
+#[test]
+fn lru_eviction_keeps_a_later_clones_source_state() {
+    for compiled in [false, true] {
+        reset_thread_state();
+        let t = Tesla::new(Config {
+            fail_mode: FailMode::Log,
+            max_instances: Some(2),
+            eviction: EvictionPolicy::Lru,
+            ..Config::default()
+        });
+        let recorded = Arc::new(RecordingHandler::new());
+        t.add_handler(recorded.clone());
+        let h = || call("h").arg_var("y").returns(0);
+        let a = AssertionBuilder::within("req")
+            .named("lru_sources")
+            .previously(
+                ExprBuilder::from(call("k").returns(0))
+                    .then(h())
+                    .xor(ExprBuilder::from(call("g").arg_var("x").returns(0)).then(h())),
+            )
+            .build()
+            .unwrap();
+        let a = Arc::new(compile(&a).unwrap());
+        let dfa = compiled.then(|| Arc::new(Dfa::build(&a).expect("guard-free")));
+        t.register_batch_compiled(vec![(a, dfa)]).unwrap();
+        let [req, g, k, h] = ["req", "g", "k", "h"].map(|f| t.intern_fn(f));
+        t.fn_entry(req, &[]).unwrap();
+        // (∗) clones (x=1) into slot 1, then moves on k itself.
+        t.fn_exit(g, &[Value(1)], Value(0)).unwrap();
+        t.fn_exit(k, &[], Value(0)).unwrap();
+        // Both instances clone on h(2). The clone from (∗) evicts the
+        // least recently touched instance, (x=1), before the clone
+        // from (x=1) is placed.
+        t.fn_exit(h, &[Value(2)], Value(0)).unwrap();
+
+        let events = recorded.events();
+        let x1_state = events
+            .iter()
+            .find_map(|e| match e {
+                LifecycleEvent::Clone {
+                    from_instance: 0,
+                    to_instance: 1,
+                    states,
+                    ..
+                } => Some(*states),
+                _ => None,
+            })
+            .expect("(x=1) cloned into slot 1");
+        let at = events
+            .iter()
+            .rposition(|e| {
+                matches!(
+                    e,
+                    LifecycleEvent::Clone {
+                        from_instance: 1,
+                        ..
+                    }
+                )
+            })
+            .expect("a clone from slot 1");
+        let LifecycleEvent::Update {
+            from_states,
+            to_states,
+            ..
+        } = &events[at + 1]
+        else {
+            panic!("an Update follows the Clone: {:?}", events[at + 1]);
+        };
+        assert_ne!(*to_states, x1_state);
+        assert_eq!(*from_states, x1_state, "compiled: {compiled}");
+    }
+}
+
+/// Debug builds step the NFA beside every DFA step. A class registered
+/// with the DFA of another automaton panics on the first step it
+/// takes: here the site, which the DFA moves on and the NFA does not.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(
+    expected = "DFA step disagrees with the NFA: class 0 (a), row 0, symbol 1 («assertion»)"
+)]
+fn debug_builds_check_every_dfa_step_against_the_nfa() {
+    reset_thread_state();
+    let t = Tesla::with_defaults();
+    let a = AssertionBuilder::within("req")
+        .named("a")
+        .previously(call("check").returns(0))
+        .build()
+        .unwrap();
+    let b = AssertionBuilder::within("req")
+        .named("b")
+        .previously(ExprBuilder::from(call("x").returns(0)).xor(call("y").returns(0)))
+        .build()
+        .unwrap();
+    let dfa = Dfa::build(&compile(&b).unwrap()).map(Arc::new);
+    let ids = t
+        .register_batch_compiled(vec![(Arc::new(compile(&a).unwrap()), dfa)])
+        .unwrap();
+    let req = t.intern_fn("req");
+    t.fn_entry(req, &[]).unwrap();
+    let _ = t.assertion_site(ids[0], &[]);
 }
