@@ -21,7 +21,7 @@
 
 use crate::analysis::has_guards;
 use crate::automaton::Automaton;
-use crate::bitset::StateSet;
+use crate::bitset::{FoldBuild, StateSet};
 use crate::symbol::SymbolId;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
@@ -37,8 +37,9 @@ pub(crate) const NONE: u32 = u32::MAX;
 pub const MAX_DFA_STATES: usize = 4096;
 
 /// What `explore` builds: the keys in id order, the row-major
-/// `keys × n_cols` successor table, and the key → id index.
-pub(crate) type Explored<K> = (Vec<K>, Vec<u32>, HashMap<K, u32>);
+/// `keys × n_cols` successor table, and the key → id index, hashed
+/// with [`crate::FoldHasher`].
+pub(crate) type Explored<K> = (Vec<K>, Vec<u32>, HashMap<K, u32, FoldBuild>);
 
 /// In-order breadth-first construction of a deterministic automaton.
 ///
@@ -60,7 +61,8 @@ pub(crate) fn explore<K: Copy + Eq + Hash>(
     // saves the early regrowths.
     let mut keys = Vec::with_capacity(8);
     keys.push(start);
-    let mut index = HashMap::from([(start, 0u32)]);
+    let mut index = HashMap::with_hasher(FoldBuild::default());
+    index.insert(start, 0u32);
     let mut table = Vec::with_capacity(8 * n_cols);
     let mut i = 0;
     while i < keys.len() {
@@ -120,7 +122,7 @@ pub struct Dfa {
     table: Vec<u32>,
     /// NFA set → DFA state, as `explore` built it; read through
     /// [`Dfa::resolve`].
-    index: HashMap<StateSet, u32>,
+    index: HashMap<StateSet, u32, FoldBuild>,
     n_symbols: usize,
     /// DFA start state (always 0).
     pub start: u32,
@@ -185,7 +187,8 @@ impl Dfa {
     }
 
     /// The DFA state that stands for `set`, if `set` is one of the
-    /// subsets the construction reached.
+    /// subsets the construction reached: one fold-hash lookup.
+    #[inline]
     pub fn resolve(&self, set: &StateSet) -> Option<u32> {
         self.index.get(set).copied()
     }

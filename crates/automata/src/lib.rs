@@ -85,7 +85,7 @@ pub use analysis::{
     Closure, CompleteDfa, LanguageRelation,
 };
 pub use automaton::{compile, Automaton, Bound};
-pub use bitset::StateSet;
+pub use bitset::{FoldHasher, StateSet};
 pub use cache::CompileCache;
 pub use coverage::{ClassCoverage, CoverageMap};
 pub use dfa::Dfa;

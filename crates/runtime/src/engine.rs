@@ -201,9 +201,10 @@ pub struct Config {
     /// Instance-table capacity per class per store (§4.4.1
     /// preallocation).
     pub instance_capacity: usize,
-    /// Enable telemetry: the engine attaches its
-    /// [`MetricsRegistry`] as a lifecycle handler and times every
-    /// instrumentation hook into its latency histograms. The
+    /// Enable telemetry: the store step counts every lifecycle event
+    /// into the engine's [`MetricsRegistry`] directly, before any
+    /// attached handler runs (it is not itself a handler), and every
+    /// instrumentation hook is timed into its latency histograms. The
     /// recording path is lock-free (relaxed atomics on preallocated
     /// arrays), preserving the contention-free dispatch invariant.
     pub telemetry: bool,
@@ -609,9 +610,9 @@ pub struct Tesla {
     global_shards: [Mutex<Store>; GLOBAL_SHARDS],
     violation_log: Mutex<Vec<Violation>>,
     /// The engine's metrics registry. Always present (so callers can
-    /// plumb values like `sites_elided` unconditionally); only
-    /// attached as an event handler — and only fed hook timings —
-    /// when [`Config::telemetry`] is set.
+    /// plumb values like `sites_elided` unconditionally); only fed
+    /// registrations, lifecycle events and hook timings when
+    /// [`Config::telemetry`] is set.
     metrics: Arc<MetricsRegistry>,
     /// The adaptive overhead governor, present only when
     /// [`Config::governor`] was set. Ticked once per event by the
@@ -674,7 +675,7 @@ impl Tesla {
             config.telemetry = true;
         }
         let governor = config.governor.map(|g| Arc::new(Governor::new(g)));
-        let engine = Tesla {
+        Ok(Tesla {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             config,
             interner: Interner::new(),
@@ -686,11 +687,7 @@ impl Tesla {
             violation_log: Mutex::new(Vec::new()),
             metrics: Arc::new(MetricsRegistry::new()),
             governor,
-        };
-        if engine.config.telemetry {
-            engine.add_handler(engine.metrics.clone());
-        }
-        Ok(engine)
+        })
     }
 
     /// Create with the default configuration (fail-stop, lazy init).
@@ -746,9 +743,10 @@ impl Tesla {
     }
 
     /// The engine's metrics registry (always present; populated by
-    /// dispatch only under [`Config::telemetry`]). External
-    /// aggregates — e.g. the static checker's `sites_elided` — can be
-    /// recorded here regardless of the telemetry flag.
+    /// registration and dispatch only under [`Config::telemetry`]).
+    /// External aggregates — e.g. the static checker's
+    /// `sites_elided` — can be recorded here regardless of the
+    /// telemetry flag.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -984,9 +982,15 @@ impl Tesla {
             quota: self.config.max_instances,
             eviction: self.config.eviction,
         }));
-        // Cold path: let aggregating handlers build their dense
-        // per-class tables before any event for this class fires.
+        // Cold path: let the registry and aggregating handlers build
+        // their dense per-class tables before any event for this
+        // class fires. The registry's weight rows are the rows the
+        // class's instances step on.
         let def = &next.classes[class as usize];
+        if self.config.telemetry {
+            self.metrics
+                .register_class(class, &def.automaton, def.compiled.as_ref());
+        }
         for h in &next.handlers {
             if catch_unwind(AssertUnwindSafe(|| h.on_register(class, &def.automaton))).is_err() {
                 self.metrics.note_handler_panic();
@@ -1642,10 +1646,12 @@ impl Tesla {
     }
 
     /// Bundle a snapshot's handlers with the metrics sink and fault
-    /// plan for one hook invocation's event deliveries.
+    /// plan for one hook invocation's event deliveries; under
+    /// telemetry the registry is the direct tally.
     #[inline]
     fn dispatch<'a>(&'a self, snap: &'a Snapshot) -> Dispatch<'a> {
         Dispatch::new(&snap.handlers, &self.metrics, self.config.faults.as_deref())
+            .with_tally(self.config.telemetry.then_some(&*self.metrics))
             .with_governor(self.governor.as_deref())
     }
 

@@ -7,16 +7,19 @@
 //! via DTrace. Our DTrace substitute is the [`MetricsRegistry`]: it
 //! tallies the lifecycle events per class and counts the transitions
 //! that feed the weighted automaton graphs of fig. 9 and the
-//! logical-coverage reports. It and the flight recorder live in
-//! [`crate::telemetry`] and plug in through the same trait.
+//! logical-coverage reports. Like DTrace's in-kernel aggregation, the
+//! engine's own registry is not a handler: [`Dispatch`] counts into
+//! it directly. Further registries and the flight recorder live in
+//! [`crate::telemetry`] and plug in through the trait.
 
-use crate::event::LifecycleEvent;
+use crate::event::{LifecycleEvent, Violation};
 use crate::faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 use crate::locks;
+use crate::store::State;
 use crate::telemetry::{Governor, MetricsRegistry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use tesla_automata::Automaton;
+use tesla_automata::{Automaton, Dfa, SymbolId};
 
 /// A lifecycle-event observer. Handlers must be cheap and re-entrant;
 /// they are called from instrumentation hooks with store locks held.
@@ -34,22 +37,35 @@ pub trait EventHandler: Send + Sync {
     }
 }
 
-/// Panic-isolating lifecycle-event fan-out.
+/// The store's lifecycle reporting: a direct tally and a
+/// panic-isolating handler fan-out.
+///
+/// The store reports each lifecycle event through one method
+/// (`new_instance`, `update`, …), which
+///
+/// 1. counts it into the engine's registry when telemetry is on (the
+///    *tally*, [`Dispatch::with_tally`]): a statically dispatched
+///    call with the event's fields, no [`LifecycleEvent`] built;
+/// 2. then builds the event and [`Dispatch::notify`]s it, but only
+///    when a handler is attached or a fault plan is set.
 ///
 /// Handlers run from instrumentation hooks with store locks held, so a
 /// buggy handler that unwinds would poison those locks and propagate
 /// into the *host's* call stack — exactly the "instrumentation worse
-/// than the bug" failure the fault model forbids. `Dispatch` wraps
+/// than the bug" failure the fault model forbids. `notify` wraps
 /// every `on_event` in `catch_unwind`: a panicking handler degrades to
 /// a counted `tesla_handler_panics_total` metric and the remaining
 /// handlers still run.
 ///
 /// When a [`FaultPlan`] is attached it may also *inject* a handler
 /// panic at the top of [`Dispatch::notify`] (drawn and absorbed here,
-/// which is what keeps the plan's ledger balanced).
+/// which is what keeps the plan's ledger balanced). That draw happens
+/// once per notified event whether or not a handler is attached, so
+/// with a plan set every event is notified.
 pub struct Dispatch<'a> {
     handlers: &'a [Arc<dyn EventHandler>],
     metrics: &'a MetricsRegistry,
+    tally: Option<&'a MetricsRegistry>,
     faults: Option<&'a FaultPlan>,
     governor: Option<&'a Governor>,
 }
@@ -65,9 +81,18 @@ impl<'a> Dispatch<'a> {
         Dispatch {
             handlers,
             metrics,
+            tally: None,
             faults,
             governor: None,
         }
+    }
+
+    /// Count every reported event into `tally` first, before any
+    /// handler runs: the engine's registry under
+    /// [`crate::Config::telemetry`].
+    pub fn with_tally(mut self, tally: Option<&'a MetricsRegistry>) -> Dispatch<'a> {
+        self.tally = tally;
+        self
     }
 
     /// Attach the overhead governor so the store can consult its
@@ -77,10 +102,17 @@ impl<'a> Dispatch<'a> {
         self
     }
 
-    /// True when no handlers are attached (lets callers skip event
-    /// construction entirely).
+    /// True when nothing observes lifecycle events: no tally and no
+    /// handler (lets callers skip event construction entirely).
     pub fn is_empty(&self) -> bool {
-        self.handlers.is_empty()
+        self.tally.is_none() && self.handlers.is_empty()
+    }
+
+    /// Whether a reported event is built and notified: a handler is
+    /// attached, or a fault plan draws on it.
+    #[inline]
+    fn fans_out(&self) -> bool {
+        !self.handlers.is_empty() || self.faults.is_some()
     }
 
     /// The governor's clone-shed period: 0 means "shed nothing",
@@ -99,11 +131,10 @@ impl<'a> Dispatch<'a> {
         self.governor.is_some_and(Governor::shed_clone)
     }
 
-    /// Should the hot-path in-place `Update` notification be built and
-    /// delivered? False when no handlers are attached, or when the
-    /// governor is sampling update notifications to hold its SLO.
-    /// Only *observation* is affected — the automaton state advanced
-    /// regardless.
+    /// Should the hot-path in-place `Update` be reported? False when
+    /// nothing observes events, or when the governor is sampling
+    /// update notifications to hold its SLO. Only *observation* is
+    /// affected — the automaton state advanced regardless.
     pub fn admits_update(&self) -> bool {
         !self.is_empty() && self.governor.is_none_or(Governor::admit_update)
     }
@@ -117,6 +148,127 @@ impl<'a> Dispatch<'a> {
     /// The metrics sink absorbed faults are accounted against.
     pub fn metrics(&self) -> &MetricsRegistry {
         self.metrics
+    }
+
+    /// Count an event into the tally, then build and notify it when
+    /// it fans out.
+    #[inline(always)]
+    fn report(&self, count: impl FnOnce(&MetricsRegistry), event: impl FnOnce() -> LifecycleEvent) {
+        if let Some(m) = self.tally {
+            count(m);
+        }
+        if self.fans_out() {
+            self.notify(&event());
+        }
+    }
+
+    /// Report [`LifecycleEvent::New`].
+    #[inline]
+    pub(crate) fn new_instance(&self, class: u32, instance: u32) {
+        self.report(
+            |m| m.record_new(class),
+            || LifecycleEvent::New { class, instance },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Clone`]: instance `to` specialised
+    /// from `from` into `state` of a class whose DFA is `dfa`.
+    #[inline]
+    pub(crate) fn clone_instance(
+        &self,
+        class: u32,
+        from: u32,
+        to: u32,
+        state: &State,
+        dfa: Option<&Dfa>,
+    ) {
+        self.report(
+            |m| m.record_clone(class),
+            || LifecycleEvent::Clone {
+                class,
+                from_instance: from,
+                to_instance: to,
+                states: state.nfa(dfa),
+            },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Update`] of `instance` on `sym`, from
+    /// `from` to `to`, states of a class whose DFA is `dfa`. The tally
+    /// counts a row source at its weight cell, with no state set
+    /// read; a set source through the set.
+    #[inline]
+    pub(crate) fn update(
+        &self,
+        class: u32,
+        instance: u32,
+        sym: SymbolId,
+        from: &State,
+        to: &State,
+        dfa: Option<&Dfa>,
+    ) {
+        self.report(
+            |m| match *from {
+                State::Row(row) if m.record_update_row(class, row, sym) => {}
+                _ => m.record_update(class, &from.nfa(dfa), sym),
+            },
+            || LifecycleEvent::Update {
+                class,
+                instance,
+                sym,
+                from_states: from.nfa(dfa),
+                to_states: to.nfa(dfa),
+            },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Finalise`].
+    #[inline]
+    pub(crate) fn finalise(&self, class: u32, instance: u32, accepted: bool) {
+        self.report(
+            |m| m.record_finalise(class, accepted),
+            || LifecycleEvent::Finalise {
+                class,
+                instance,
+                accepted,
+            },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Evicted`].
+    #[inline]
+    pub(crate) fn evicted(&self, class: u32, instance: u32) {
+        self.report(
+            |m| m.record_eviction(class),
+            || LifecycleEvent::Evicted { class, instance },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Overflow`].
+    #[inline]
+    pub(crate) fn overflow(&self, class: u32) {
+        self.report(
+            |m| m.record_overflow(class),
+            || LifecycleEvent::Overflow { class },
+        );
+    }
+
+    /// Report [`LifecycleEvent::Shed`].
+    #[inline]
+    pub(crate) fn shed(&self, class: u32) {
+        self.report(|m| m.record_shed(class), || LifecycleEvent::Shed { class });
+    }
+
+    /// Report [`LifecycleEvent::Error`]; the violation is cloned only
+    /// when the event fans out.
+    #[inline]
+    pub(crate) fn error(&self, violation: &Violation) {
+        self.report(
+            |m| m.record_violation(),
+            || LifecycleEvent::Error {
+                violation: violation.clone(),
+            },
+        );
     }
 
     /// Deliver `ev` to every handler, isolating panics per handler.

@@ -25,7 +25,7 @@
 //!   violation otherwise; then the table is expunged.
 
 use crate::engine::{ClassDef, EvictionPolicy, DEGRADED_SAMPLE};
-use crate::event::{LifecycleEvent, Violation, ViolationKind};
+use crate::event::{Violation, ViolationKind};
 use crate::faults::FaultKind;
 use crate::handlers::Dispatch;
 use crate::MAX_VARS;
@@ -148,11 +148,25 @@ pub struct Store {
     pub groups: Vec<GroupState>,
     /// Monotonic event clock; stamps [`Instance::touch`].
     pub tick: u64,
-    /// Scratch list of the clones one [`Store::apply_event`] creates,
-    /// as `(source slot, source state before the event, instance)`.
+    /// Scratch list of the clones one [`Store::apply_event`] creates.
     /// Owned by the store so that steady-state events reuse its
     /// allocation.
-    clones: Vec<(u32, State, Instance)>,
+    clones: Vec<PendingClone>,
+}
+
+/// A clone [`Store::apply_event`] has decided on but not yet placed.
+#[derive(Debug)]
+struct PendingClone {
+    /// The source instance's slot.
+    src: u32,
+    /// The source's state before the event: an earlier clone of the
+    /// same event may evict the source's slot.
+    src_state: State,
+    /// The clone's state after the event.
+    next: State,
+    /// The clone's bound-variable mask and values.
+    known: u8,
+    bindings: [Value; MAX_VARS],
 }
 
 /// What `apply_event` observed.
@@ -195,10 +209,7 @@ impl Store {
         // `max_instances`") has to survive abandoned scopes too.
         if !cs.instances.is_empty() {
             for slot in 0..cs.instances.len() {
-                d.notify(&LifecycleEvent::Evicted {
-                    class,
-                    instance: slot as u32,
-                });
+                d.evicted(class, slot as u32);
             }
             cs.instances.clear();
         }
@@ -210,7 +221,7 @@ impl Store {
                 // so the next event retries.
                 fp.absorbed(FaultKind::AllocFailure);
                 d.metrics().note_fault_absorbed();
-                d.notify(&LifecycleEvent::Overflow { class });
+                d.overflow(class);
                 return false;
             }
         }
@@ -230,13 +241,7 @@ impl Store {
         star.touch = tick;
         cs.instances.push(star);
         self.groups[def.group as usize].materialized.push(class);
-        // Events are built once and shared by every handler: handler
-        // count must scale at the cost of a virtual call, not of
-        // re-materialising payloads.
-        d.notify(&LifecycleEvent::New {
-            class,
-            instance: slot,
-        });
+        d.new_instance(class, slot);
         true
     }
 
@@ -269,7 +274,7 @@ impl Store {
         clones.clear();
         let n = cs.instances.len();
         for i in 0..n {
-            let inst = cs.instances[i];
+            let inst = &cs.instances[i];
             // Binding compatibility: known variables must agree;
             // unknown ones specialise.
             let mut specialise_known: u8 = 0;
@@ -303,8 +308,8 @@ impl Store {
                     shadow_check(class, auto, dfa, row, sym, next, &mut *guard_ok);
                     next.map(State::Row)
                 }
-                State::Set(set) => {
-                    let next = auto.step(&set, sym, &mut *guard_ok);
+                State::Set(ref set) => {
+                    let next = auto.step(set, sym, &mut *guard_ok);
                     (!next.is_empty()).then_some(State::Set(next))
                 }
             };
@@ -319,9 +324,7 @@ impl Store {
                             auto.symbols[sym.0 as usize].kind
                         ),
                     );
-                    d.notify(&LifecycleEvent::Error {
-                        violation: v.clone(),
-                    });
+                    d.error(&v);
                     out.violation = Some(v);
                     // Stop delivering the event, but fall through to
                     // commit clones already queued by earlier
@@ -333,42 +336,37 @@ impl Store {
                 // Irrelevant at this instance's progress: ignore.
                 continue;
             };
+            out.matched = true;
             if specialise_known == 0 {
-                cs.instances[i].state = next;
-                cs.instances[i].touch = tick;
-                out.matched = true;
+                let inst = &mut cs.instances[i];
+                let from = std::mem::replace(&mut inst.state, next);
+                inst.touch = tick;
                 // The governor may sample these hot-path notifications
                 // (observation only: the state advance above already
                 // happened and is never shed).
                 if d.admits_update() {
-                    d.notify(&LifecycleEvent::Update {
-                        class,
-                        instance: i as u32,
-                        sym,
-                        from_states: inst.state.nfa(dfa),
-                        to_states: next.nfa(dfa),
-                    });
+                    d.update(class, i as u32, sym, &from, &next, dfa);
                 }
             } else {
-                let mut clone = inst;
-                clone.known |= specialise_known;
+                let mut bindings = inst.bindings;
                 for (v, &val) in specialise_vals.iter().enumerate() {
                     if specialise_known & (1 << v) != 0 {
-                        clone.bindings[v] = val;
+                        bindings[v] = val;
                     }
                 }
-                clone.state = next;
-                clone.touch = tick;
-                out.matched = true;
-                // The source's state goes with the clone: an earlier
-                // clone of this event may evict the source's slot.
-                clones.push((i as u32, inst.state, clone));
+                clones.push(PendingClone {
+                    src: i as u32,
+                    src_state: inst.state,
+                    next,
+                    known: inst.known | specialise_known,
+                    bindings,
+                });
             }
         }
         // The effective instance bound: the governance quota, if set,
         // never exceeds the preallocation capacity.
         let limit = def.quota.map_or(def.capacity, |q| q.min(def.capacity));
-        for (src, src_state, clone) in clones.drain(..) {
+        for pending in clones.drain(..) {
             // Shed a sampled share of new specialisations — bounded
             // work in exchange for bounded memory (degraded mode) or a
             // held overhead SLO (governor with `allow_shed`). Each
@@ -381,61 +379,60 @@ impl Store {
             if cs.degraded {
                 cs.shed_tick = cs.shed_tick.wrapping_add(1);
                 if cs.shed_tick.is_multiple_of(DEGRADED_SAMPLE) {
-                    d.notify(&LifecycleEvent::Shed { class });
+                    d.shed(class);
                     continue;
                 }
             }
             if d.shed_clone() {
-                d.notify(&LifecycleEvent::Shed { class });
+                d.shed(class);
                 continue;
             }
+            let PendingClone {
+                src,
+                src_state,
+                next,
+                known,
+                bindings,
+            } = pending;
             // Deduplicate: an instance with identical bindings may
             // already exist (e.g. the same check ran twice); merge
             // state sets instead of duplicating.
             if let Some(j) = cs
                 .instances
                 .iter()
-                .position(|e| e.known == clone.known && same_bindings(e, &clone))
+                .position(|e| e.known == known && same_bindings(e, known, &bindings))
             {
-                let from = cs.instances[j].state.nfa(dfa);
+                let inst = &mut cs.instances[j];
+                let from = inst.state.nfa(dfa);
                 let mut to = from;
-                to.union_with(&clone.state.nfa(dfa));
+                to.union_with(&next.nfa(dfa));
                 // The union may be a set the DFA never reached: the
                 // instance then steps the NFA until a later union
                 // resolves to a row again.
-                cs.instances[j].state = dfa
+                let merged = dfa
                     .and_then(|dfa| dfa.resolve(&to))
                     .map_or(State::Set(to), State::Row);
-                cs.instances[j].touch = tick;
+                let before = std::mem::replace(&mut inst.state, merged);
+                inst.touch = tick;
                 if from != to && !d.is_empty() {
-                    d.notify(&LifecycleEvent::Update {
-                        class,
-                        instance: j as u32,
-                        sym,
-                        from_states: from,
-                        to_states: to,
-                    });
+                    d.update(class, j as u32, sym, &before, &merged, dfa);
                 }
-            } else if cs.instances.len() < limit {
+                continue;
+            }
+            let clone = Instance {
+                state: next,
+                bindings,
+                known,
+                touch: tick,
+            };
+            if cs.instances.len() < limit {
                 let slot = cs.instances.len() as u32;
                 cs.instances.push(clone);
                 if !d.is_empty() {
                     // A clone is also a consumed transition: report it
                     // for coverage/weighted graphs.
-                    let states = clone.state.nfa(dfa);
-                    d.notify(&LifecycleEvent::Clone {
-                        class,
-                        from_instance: src,
-                        to_instance: slot,
-                        states,
-                    });
-                    d.notify(&LifecycleEvent::Update {
-                        class,
-                        instance: slot,
-                        sym,
-                        from_states: src_state.nfa(dfa),
-                        to_states: states,
-                    });
+                    d.clone_instance(class, src, slot, &next, dfa);
+                    d.update(class, slot, sym, &src_state, &next, dfa);
                 }
             } else if def.eviction == EvictionPolicy::Lru {
                 // Quota full: evict the least-recently-touched
@@ -447,28 +444,13 @@ impl Store {
                     .expect("limit >= 1 implies a live instance");
                 cs.instances[j] = clone;
                 cs.degraded = true;
-                d.notify(&LifecycleEvent::Evicted {
-                    class,
-                    instance: j as u32,
-                });
+                d.evicted(class, j as u32);
                 if !d.is_empty() {
-                    let states = clone.state.nfa(dfa);
-                    d.notify(&LifecycleEvent::Clone {
-                        class,
-                        from_instance: src,
-                        to_instance: j as u32,
-                        states,
-                    });
-                    d.notify(&LifecycleEvent::Update {
-                        class,
-                        instance: j as u32,
-                        sym,
-                        from_states: src_state.nfa(dfa),
-                        to_states: states,
-                    });
+                    d.clone_instance(class, src, j as u32, &next, dfa);
+                    d.update(class, j as u32, sym, &src_state, &next, dfa);
                 }
             } else {
-                d.notify(&LifecycleEvent::Overflow { class });
+                d.overflow(class);
             }
         }
         if !out.matched && is_site && out.violation.is_none() {
@@ -478,7 +460,7 @@ impl Store {
                 // site miss while shedding is not evidence of a bug.
                 // Count the suppressed check as shed work instead of
                 // reporting a false positive.
-                d.notify(&LifecycleEvent::Shed { class });
+                d.shed(class);
                 return out;
             }
             let values: Vec<Value> = bindings.iter().map(|(_, v)| *v).collect();
@@ -490,9 +472,7 @@ impl Store {
                     describe_bindings(&auto.var_names, bindings)
                 ),
             );
-            d.notify(&LifecycleEvent::Error {
-                violation: v.clone(),
-            });
+            d.error(&v);
             out.violation = Some(v);
         }
         out
@@ -512,11 +492,7 @@ impl Store {
         let mut violation = None;
         for (i, inst) in cs.instances.iter().enumerate() {
             let accepted = auto.finalise_ok(&inst.state.nfa(dfa));
-            d.notify(&LifecycleEvent::Finalise {
-                class,
-                instance: i as u32,
-                accepted,
-            });
+            d.finalise(class, i as u32, accepted);
             if !accepted && violation.is_none() {
                 let v = def.violation(
                     ViolationKind::Cleanup,
@@ -526,9 +502,7 @@ impl Store {
                         inst.name(&auto.var_names)
                     ),
                 );
-                d.notify(&LifecycleEvent::Error {
-                    violation: v.clone(),
-                });
+                d.error(&v);
                 violation = Some(v);
             }
         }
@@ -573,13 +547,9 @@ fn shadow_check(
     );
 }
 
-fn same_bindings(a: &Instance, b: &Instance) -> bool {
-    for v in 0..MAX_VARS {
-        if b.known & (1 << v) != 0 && a.bindings[v] != b.bindings[v] {
-            return false;
-        }
-    }
-    true
+/// Does `a` hold `bindings` in every variable of `known`?
+fn same_bindings(a: &Instance, known: u8, bindings: &[Value; MAX_VARS]) -> bool {
+    (0..MAX_VARS).all(|v| known & (1 << v) == 0 || a.bindings[v] == bindings[v])
 }
 
 fn describe_bindings(var_names: &[String], bindings: &[(usize, Value)]) -> String {

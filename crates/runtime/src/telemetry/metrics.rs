@@ -5,11 +5,29 @@
 //! count comes from here. Everything on the recording path of the
 //! first [`MAX_DENSE_CLASSES`] classes is a relaxed atomic operation
 //! on preallocated storage — no locks, no allocation after a class's
-//! first touch — so attaching the registry preserves the engine's
-//! contention-free dispatch invariant. Classes beyond them (rare: a
-//! class is one registered assertion) keep exact counters in a locked
-//! map. Aggregation (snapshots, export) walks the same atomics
-//! read-only and can run concurrently with recording.
+//! first touch — so counting preserves the engine's contention-free
+//! dispatch invariant. Classes beyond them (rare: a class is one
+//! registered assertion) keep exact counters and weight tables in
+//! locked maps. Aggregation (snapshots, export) walks the same
+//! atomics read-only and can run concurrently with recording.
+//!
+//! # Two ways in, one count
+//!
+//! Each lifecycle event has one record method (`record_new`,
+//! `record_update`, …), and nothing else writes a counter:
+//!
+//! * the engine's own registry ([`crate::Config::telemetry`]) is
+//!   called by the store step directly, through
+//!   [`crate::Dispatch`], before any attached handler runs. No
+//!   [`LifecycleEvent`] is built for it, and an update out of DFA row
+//!   `r` is counted at cell `(r, sym)` of the class's weight table
+//!   without a state-set lookup;
+//! * a registry attached with [`crate::Tesla::add_handler`] is an
+//!   [`EventHandler`]: [`MetricsRegistry::on_event`] decodes each
+//!   event onto the same record methods.
+//!
+//! `updates`, `events_total` and the live-instance gauge are derived
+//! at read time from counters the record methods already pay for.
 //!
 //! # Accounting a dispatch call
 //!
@@ -38,10 +56,10 @@ use crate::locks;
 use crate::telemetry::weights::{ClassWeights, TransitionWeights, MAX_DENSE_CLASSES};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tesla_automata::Automaton;
+use tesla_automata::{Automaton, Dfa, StateSet, SymbolId};
 
 /// Stripes for the hottest global counters (hook calls). Each thread
 /// hashes onto one stripe, so concurrent dispatch threads increment
@@ -322,13 +340,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-class lifecycle counters and the live-instance gauge.
+/// Per-class lifecycle counters and the live-instance peak.
 ///
 /// There is deliberately no `updates` counter here: every `Update`
 /// event lands exactly one transition count in the weight store
 /// (dense or spilled), so the update total is derived from there at
 /// read time instead of paying a third atomic RMW per event on the
-/// hot path.
+/// hot path. The live gauge is derived the same way, from the
+/// lifecycle counters ([`ClassMetrics::live`]).
 pub struct ClassMetrics {
     name: OnceLock<String>,
     news: AtomicU64,
@@ -338,7 +357,6 @@ pub struct ClassMetrics {
     overflows: AtomicU64,
     evictions: AtomicU64,
     shed: AtomicU64,
-    live: AtomicI64,
     high_watermark: AtomicU64,
 }
 
@@ -353,7 +371,6 @@ impl ClassMetrics {
             overflows: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            live: AtomicI64::new(0),
             high_watermark: AtomicU64::new(0),
         }
     }
@@ -403,12 +420,14 @@ impl ClassMetrics {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Currently live instances (approximate across threads). The
-    /// internal balance is signed — stale-instance clears can emit
-    /// finalises for instances whose creation predates the gauge — and
-    /// clamped to zero here.
+    /// Currently live instances: `news + clones − accepted − rejected
+    /// − evictions`, clamped to zero. The balance is signed because a
+    /// registry attached late can see instances end that it never saw
+    /// begin. Exact at quiescence, and for Global classes, whose
+    /// events run under their shard lock; approximate while threads
+    /// of a per-thread class are running.
     pub fn live(&self) -> u64 {
-        self.live.load(Ordering::Relaxed).max(0) as u64
+        self.balance().max(0) as u64
     }
 
     /// Most instances ever live at once.
@@ -416,24 +435,23 @@ impl ClassMetrics {
         self.high_watermark.load(Ordering::Relaxed)
     }
 
+    /// The signed live balance.
+    fn balance(&self) -> i64 {
+        let up = self.news() + self.clones();
+        let down = self.accepted() + self.rejected() + self.evictions();
+        up as i64 - down as i64
+    }
+
+    /// A New or Clone raised the balance: move the peak up to it. In
+    /// steady state the balance oscillates below the peak and the
+    /// plain load skips the RMW; a stale load can only under-read, in
+    /// which case the (always correct) `fetch_max` runs.
     #[inline]
-    fn inc_live(&self) {
-        let now = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        // Guarded max: in steady state the gauge oscillates below the
-        // watermark and the plain load skips the second RMW. A stale
-        // load can only under-read, in which case we fall through to
-        // the (always correct) fetch_max.
+    fn raise_peak(&self) {
+        let now = self.balance();
         if now > 0 && now as u64 > self.high_watermark.load(Ordering::Relaxed) {
             self.high_watermark.fetch_max(now as u64, Ordering::Relaxed);
         }
-    }
-
-    #[inline]
-    fn dec_live(&self) {
-        // May transiently go negative (stale instances cleared across
-        // bound epochs without matching creations); the accessor
-        // clamps.
-        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -520,10 +538,11 @@ pub struct MetricsSnapshot {
 }
 
 /// The registry: one allocation-free, lock-free sink for everything
-/// the engine can report. Attach it to an engine as an
-/// [`EventHandler`] (done automatically under
-/// [`crate::Config::telemetry`]) and it aggregates; snapshot it any
-/// time, including while dispatch threads are hammering it.
+/// the engine can report. The engine feeds its own under
+/// [`crate::Config::telemetry`]; attach another as an
+/// [`EventHandler`] and it aggregates the same way (module docs).
+/// Snapshot it any time, including while dispatch threads are
+/// hammering it.
 pub struct MetricsRegistry {
     hook_calls: Box<[HookCallStripe]>,
     hook_latency: [LatencyHistogram; N_HOOKS],
@@ -716,12 +735,9 @@ impl MetricsRegistry {
     /// falls out of the fig. 9 weight counters for free.
     pub fn coverage_map(&self) -> tesla_automata::CoverageMap {
         let mut map = tesla_automata::CoverageMap::new();
-        for class in 0..self.classes.len() as u32 {
+        self.for_each_class(|class, metrics| {
             let Some(weights) = self.weights.class(class) else {
-                continue;
-            };
-            let Some(metrics) = self.class(class) else {
-                continue;
+                return;
             };
             let cov = map.class_mut(
                 metrics.name(),
@@ -731,7 +747,7 @@ impl MetricsRegistry {
             for (row, sym, _count) in weights.nonzero() {
                 cov.mark(row, sym);
             }
-        }
+        });
         map
     }
 
@@ -868,67 +884,126 @@ impl MetricsRegistry {
     }
 }
 
+/// The record methods: one per lifecycle event, shared by the
+/// engine's direct calls and [`MetricsRegistry::on_event`].
+impl MetricsRegistry {
+    /// Name `class` and install its weight table, whose rows are
+    /// `dfa`'s when the class has a runtime DFA (see
+    /// [`TransitionWeights::register`]).
+    pub(crate) fn register_class(&self, class: u32, automaton: &Automaton, dfa: Option<&Arc<Dfa>>) {
+        self.with_class(class, |c| {
+            let _ = c.name.set(automaton.name.clone());
+        });
+        self.weights.register(class, automaton, dfa);
+    }
+
+    /// Count an instance initialisation.
+    #[inline]
+    pub(crate) fn record_new(&self, class: u32) {
+        self.with_class(class, |c| {
+            c.news.fetch_add(1, Ordering::Relaxed);
+            c.raise_peak();
+        });
+    }
+
+    /// Count a clone (a variable specialisation).
+    #[inline]
+    pub(crate) fn record_clone(&self, class: u32) {
+        self.with_class(class, |c| {
+            c.clones.fetch_add(1, Ordering::Relaxed);
+            c.raise_peak();
+        });
+    }
+
+    /// Count an update out of DFA row `row` of `class`'s table: one
+    /// relaxed add. Returns `false`, counting nothing, when the class
+    /// has no table or the cell is outside it; the caller then counts
+    /// the row's state set with [`MetricsRegistry::record_update`].
+    #[inline]
+    pub(crate) fn record_update_row(&self, class: u32, row: u32, sym: SymbolId) -> bool {
+        self.weights.record_row(class, row, sym)
+    }
+
+    /// Count an update out of the exact state set `from`. The weight
+    /// cell is the update counter (see [`ClassMetrics`]); touching the
+    /// class slot keeps the class visible to snapshots even before
+    /// registration.
+    #[inline]
+    pub(crate) fn record_update(&self, class: u32, from: &StateSet, sym: SymbolId) {
+        self.with_class(class, |_| {});
+        self.weights.record(class, from, sym);
+    }
+
+    /// Count a violation.
+    #[inline]
+    pub(crate) fn record_violation(&self) {
+        self.violations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a finalisation.
+    #[inline]
+    pub(crate) fn record_finalise(&self, class: u32, accepted: bool) {
+        self.with_class(class, |c| {
+            let n = if accepted { &c.accepted } else { &c.rejected };
+            n.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+
+    /// Count a preallocation overflow.
+    #[inline]
+    pub(crate) fn record_overflow(&self, class: u32) {
+        self.with_class(class, |c| {
+            c.overflows.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+
+    /// Count an eviction.
+    #[inline]
+    pub(crate) fn record_eviction(&self, class: u32) {
+        self.with_class(class, |c| {
+            c.evictions.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+
+    /// Count a shed clone or suppressed site check.
+    #[inline]
+    pub(crate) fn record_shed(&self, class: u32) {
+        self.with_class(class, |c| {
+            c.shed.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+}
+
 impl EventHandler for MetricsRegistry {
     fn on_event(&self, ev: &LifecycleEvent) {
-        match ev {
-            LifecycleEvent::New { class, .. } => self.with_class(*class, |c| {
-                c.news.fetch_add(1, Ordering::Relaxed);
-                c.inc_live();
-            }),
-            LifecycleEvent::Clone { class, .. } => self.with_class(*class, |c| {
-                c.clones.fetch_add(1, Ordering::Relaxed);
-                c.inc_live();
-            }),
+        match *ev {
+            LifecycleEvent::New { class, .. } => self.record_new(class),
+            LifecycleEvent::Clone { class, .. } => self.record_clone(class),
             LifecycleEvent::Update {
                 class,
                 sym,
-                from_states,
+                ref from_states,
                 ..
-            } => {
-                // The weight cell is the update counter (see
-                // [`ClassMetrics`]); touching the class slot keeps the
-                // class visible to snapshots even before registration.
-                self.with_class(*class, |_| {});
-                self.weights.record(*class, from_states, *sym);
-            }
-            LifecycleEvent::Error { .. } => {
-                self.violations.fetch_add(1, Ordering::Relaxed);
-            }
+            } => self.record_update(class, from_states, sym),
+            LifecycleEvent::Error { .. } => self.record_violation(),
             LifecycleEvent::Finalise {
                 class, accepted, ..
-            } => self.with_class(*class, |c| {
-                if *accepted {
-                    c.accepted.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    c.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                c.dec_live();
-            }),
-            LifecycleEvent::Overflow { class } => self.with_class(*class, |c| {
-                c.overflows.fetch_add(1, Ordering::Relaxed);
-            }),
-            LifecycleEvent::Evicted { class, .. } => self.with_class(*class, |c| {
-                c.evictions.fetch_add(1, Ordering::Relaxed);
-                c.dec_live();
-            }),
-            LifecycleEvent::Shed { class } => self.with_class(*class, |c| {
-                c.shed.fetch_add(1, Ordering::Relaxed);
-            }),
+            } => self.record_finalise(class, accepted),
+            LifecycleEvent::Overflow { class } => self.record_overflow(class),
+            LifecycleEvent::Evicted { class, .. } => self.record_eviction(class),
+            LifecycleEvent::Shed { class } => self.record_shed(class),
         }
     }
 
     fn on_register(&self, class: u32, automaton: &Automaton) {
-        self.with_class(class, |c| {
-            let _ = c.name.set(automaton.name.clone());
-        });
-        self.weights.register(class, automaton);
+        self.register_class(class, automaton, None);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesla_automata::{compile, StateSet, SymbolId};
+    use tesla_automata::compile;
     use tesla_spec::{call, AssertionBuilder};
 
     #[test]

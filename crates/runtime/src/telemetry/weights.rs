@@ -4,169 +4,104 @@
 //! count` aggregate. The first implementation kept it in one global
 //! `Mutex<HashMap>`, which reintroduced a shared lock on every state
 //! update and undid the contention-free dispatch work. This version
-//! exploits a structural fact: libtesla instances carry exact NFA
-//! state sets, and every state set reachable by plain stepping is one
-//! of the determinised automaton's states. So at class-registration
-//! time we build an immutable `StateSet → row` index from
-//! [`Dfa::from_automaton`] (whose breadth-first state order is the
-//! same one `dot::render` uses) and a dense `rows × symbols` matrix
-//! of `AtomicU64` cells. Recording a transition is then one read-only
-//! hash lookup plus one relaxed `fetch_add` — no locks, and the row
-//! index doubles as the DFA state id the DOT renderer asks for.
+//! gives each class a dense `rows × symbols` matrix of `AtomicU64`
+//! cells whose rows are the states of the class's own [`Dfa`]:
 //!
-//! Keys with no dense slot still happen: events observed before any
-//! registration (standalone handler use) and state sets produced by
+//! * the engine's registry builds a class's table on the DFA its
+//!   instances step on (`ClassDef::compiled`), so an update out of
+//!   row `r` is counted at cell `(r, sym)` with one relaxed
+//!   `fetch_add` and no lookup;
+//! * a class without a runtime DFA (guarded, or past
+//!   `MAX_DFA_STATES`), and every class of a registry attached as a
+//!   handler, gets one [`Dfa::from_automaton`], whose breadth-first
+//!   numbering is the same;
+//! * a source given as a state set (an interpreted class's state, a
+//!   dedup union, or the `from_states` of an event an attached
+//!   registry decodes) finds its row through [`Dfa::resolve`], one
+//!   fold-hash lookup.
+//!
+//! Row ids are the DFA state ids `automata::dot` renders, so a table
+//! is directly a [`WeightSource`].
+//!
+//! Keys with no row still happen: events observed before any
+//! registration (standalone handler use), state sets produced by
 //! *merging* duplicate-binding clones (`union_with` in the store can
-//! build a set that is not a reachable DFA state). Those fall through
-//! to a small striped map — cold by construction, and exact.
+//! build a set that is not a reachable DFA state), and the
+//! guard-narrowed sets of an interpreted class. Those fall through to
+//! a small striped map — cold by construction, and exact.
 
 use crate::locks;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tesla_automata::dot::WeightSource;
-use tesla_automata::{Automaton, Dfa, StateSet, SymbolId};
+use tesla_automata::{Automaton, Dfa, FoldHasher, StateSet, SymbolId};
 
-/// A multiply-fold hasher for the hot `StateSet → row` lookup (and
-/// spill striping). The std default hasher is SipHash, whose keyed
-/// DoS resistance is irrelevant for trusted in-process keys and whose
-/// cost dominates the whole record path for 32-byte `StateSet` keys;
-/// folding each word through a rotate-xor-multiply is ~10× cheaper
-/// and mixes well for bitset-shaped data.
-#[derive(Default)]
-struct FoldHasher(u64);
-
-/// `2^64 / φ` — the usual Fibonacci-hashing multiplier.
-const FOLD_K: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for FoldHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).rotate_left(25).wrapping_mul(FOLD_K);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(w));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FoldBuild = BuildHasherDefault<FoldHasher>;
-
-/// Classes with ids below this get dense tables; beyond it (never in
-/// practice — registration is per-assertion) counts spill to the
-/// striped map and stay exact, just slower.
+/// Classes with ids below this keep their tables in a dense slot
+/// array (readers pay one atomic load); beyond it (rare — a class is
+/// one registered assertion) the tables live in a locked map and stay
+/// exact, just slower.
 pub const MAX_DENSE_CLASSES: usize = 1024;
 
 const SPILL_STRIPES: usize = 16;
 
-/// Below this many DFA states the row lookup is a linear scan of the
-/// BFS-ordered state list — for a handful of 32-byte keys that beats
-/// any hash-and-probe.
-const LINEAR_MAX: usize = 8;
-
-/// One class's dense transition-count matrix, in the determinised
-/// automaton's breadth-first state order (the same order
-/// `automata::dot` renders, so row ids are DOT state ids).
+/// One class's dense transition-count matrix, indexed by the states
+/// of the class's [`Dfa`] (so row ids are DOT state ids).
 pub struct ClassWeights {
-    n_syms: usize,
-    /// DFA states in BFS order; a state's position is its dense row.
-    states: Box<[StateSet]>,
-    /// Exact state set → dense row, used once the automaton outgrows
-    /// [`LINEAR_MAX`]. Immutable after construction, so concurrent
-    /// readers need no synchronisation.
-    state_index: HashMap<StateSet, u32, FoldBuild>,
+    dfa: Arc<Dfa>,
     cells: Box<[AtomicU64]>,
 }
 
 impl ClassWeights {
-    /// Build the (zeroed) matrix for one compiled automaton.
-    pub fn build(automaton: &Automaton) -> ClassWeights {
-        let dfa = Dfa::from_automaton(automaton);
-        let n_syms = automaton.n_symbols();
-        let mut state_index =
-            HashMap::with_capacity_and_hasher(dfa.states.len(), FoldBuild::default());
-        for (i, s) in dfa.states.iter().enumerate() {
-            state_index.insert(*s, i as u32);
-        }
-        let cells = (0..dfa.states.len() * n_syms)
+    /// The (zeroed) matrix whose rows are `dfa`'s states.
+    pub fn new(dfa: Arc<Dfa>) -> ClassWeights {
+        let cells = (0..dfa.n_states() * dfa.n_symbols())
             .map(|_| AtomicU64::new(0))
             .collect();
-        ClassWeights {
-            n_syms,
-            states: dfa.states.into_boxed_slice(),
-            state_index,
-            cells,
-        }
-    }
-
-    /// Dense row for an exact state set, if indexed.
-    #[inline]
-    fn row_of(&self, from: &StateSet) -> Option<u32> {
-        if self.states.len() <= LINEAR_MAX {
-            self.states.iter().position(|s| s == from).map(|i| i as u32)
-        } else {
-            self.state_index.get(from).copied()
-        }
+        ClassWeights { dfa, cells }
     }
 
     /// Number of DFA states (matrix rows).
     pub fn n_states(&self) -> usize {
-        self.cells.len().checked_div(self.n_syms).unwrap_or(0)
+        self.dfa.n_states()
     }
 
     /// Number of symbols (matrix columns).
     pub fn n_symbols(&self) -> usize {
-        self.n_syms
+        self.dfa.n_symbols()
     }
 
     #[inline]
     fn cell(&self, row: u32, sym: u32) -> Option<&AtomicU64> {
-        if (sym as usize) < self.n_syms {
-            self.cells.get(row as usize * self.n_syms + sym as usize)
+        let n_syms = self.dfa.n_symbols();
+        if (sym as usize) < n_syms {
+            self.cells.get(row as usize * n_syms + sym as usize)
         } else {
             None
         }
     }
 
-    /// Count one firing of `sym` out of the exact state set `from`.
-    /// Returns `false` when `from` has no dense row (caller spills).
+    /// Count one firing of `sym` out of DFA row `row`. Returns `false`
+    /// when the cell is outside the table (caller spills).
     #[inline]
-    pub fn record(&self, from: &StateSet, sym: SymbolId) -> bool {
-        match self.row_of(from) {
-            Some(row) => match self.cell(row, sym.0) {
-                Some(c) => {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                None => false,
-            },
+    pub fn record_row(&self, row: u32, sym: SymbolId) -> bool {
+        match self.cell(row, sym.0) {
+            Some(c) => {
+                c.fetch_add(1, Ordering::Relaxed);
+                true
+            }
             None => false,
         }
+    }
+
+    /// Count one firing of `sym` out of the exact state set `from`.
+    /// Returns `false` when `from` is no DFA state (caller spills).
+    #[inline]
+    pub fn record(&self, from: &StateSet, sym: SymbolId) -> bool {
+        self.dfa
+            .resolve(from)
+            .is_some_and(|row| self.record_row(row, sym))
     }
 
     /// Weight of the `row --sym-->` edge (row = DFA/DOT state id).
@@ -174,9 +109,9 @@ impl ClassWeights {
         self.cell(row, sym).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// Dense count for an exact source state set, if indexed.
+    /// Dense count for an exact source state set, if it is a row.
     pub fn count_from(&self, from: &StateSet, sym: SymbolId) -> Option<u64> {
-        self.row_of(from).map(|row| self.get(row, sym.0))
+        self.dfa.resolve(from).map(|row| self.get(row, sym.0))
     }
 
     /// Sum of every cell — the class's dense transition count.
@@ -186,11 +121,12 @@ impl ClassWeights {
 
     /// All non-zero cells as `(row, symbol, count)`.
     pub fn nonzero(&self) -> Vec<(u32, u32, u64)> {
+        let n_syms = self.dfa.n_symbols();
         let mut out = Vec::new();
         for (i, c) in self.cells.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
             if n > 0 {
-                out.push(((i / self.n_syms) as u32, (i % self.n_syms) as u32, n));
+                out.push(((i / n_syms) as u32, (i % n_syms) as u32, n));
             }
         }
         out
@@ -207,11 +143,13 @@ impl WeightSource for ClassWeights {
 
 type SpillKey = (u32, StateSet, SymbolId);
 
-/// The full per-class weight store: dense tables installed at
-/// registration via `OnceLock` slots (readers pay one atomic load),
-/// plus the striped exact-spillover map.
+/// The full per-class weight store: tables installed at registration,
+/// in `OnceLock` slots for the first [`MAX_DENSE_CLASSES`] ids and in
+/// a locked map beyond them, plus the striped exact-spillover map.
 pub struct TransitionWeights {
     dense: Box<[OnceLock<Arc<ClassWeights>>]>,
+    /// Tables of the classes from [`MAX_DENSE_CLASSES`] up, by id.
+    cold: Mutex<BTreeMap<u32, Arc<ClassWeights>>>,
     spill: Box<[Mutex<HashMap<SpillKey, u64>>]>,
 }
 
@@ -226,24 +164,51 @@ impl TransitionWeights {
     pub fn new() -> TransitionWeights {
         TransitionWeights {
             dense: (0..MAX_DENSE_CLASSES).map(|_| OnceLock::new()).collect(),
+            cold: Mutex::new(BTreeMap::new()),
             spill: (0..SPILL_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
         }
     }
 
-    /// Install the dense table for `class` (idempotent; the first
-    /// registration wins). Called at class registration — cold path.
-    pub fn register(&self, class: u32, automaton: &Automaton) {
-        if let Some(slot) = self.dense.get(class as usize) {
-            let _ = slot.set(Arc::new(ClassWeights::build(automaton)));
+    /// Install the table for `class` (idempotent; the first
+    /// registration wins). Its rows are `dfa`'s, the DFA the class's
+    /// instances step on, when it has one; otherwise the class gets
+    /// one [`Dfa::from_automaton`]. Called at class registration —
+    /// cold path.
+    pub fn register(&self, class: u32, automaton: &Automaton, dfa: Option<&Arc<Dfa>>) {
+        let table = || {
+            let dfa = dfa.map_or_else(|| Arc::new(Dfa::from_automaton(automaton)), Arc::clone);
+            Arc::new(ClassWeights::new(dfa))
+        };
+        match self.dense.get(class as usize) {
+            Some(slot) => {
+                slot.get_or_init(table);
+            }
+            None => {
+                locks::lock(&self.cold).entry(class).or_insert_with(table);
+            }
         }
     }
 
-    /// The dense table for `class`, if registered — this is the
+    /// The table for `class`, if registered — this is the
     /// [`WeightSource`] for rendering that class's weighted graph.
     pub fn class(&self, class: u32) -> Option<Arc<ClassWeights>> {
-        self.dense.get(class as usize)?.get().cloned()
+        match self.dense.get(class as usize) {
+            Some(slot) => slot.get().cloned(),
+            None => locks::lock(&self.cold).get(&class).cloned(),
+        }
+    }
+
+    /// Run `f` on `class`'s table, if registered. A dense id is one
+    /// atomic load and clones no `Arc`; a cold id takes the map's
+    /// lock.
+    #[inline]
+    fn with_table<R>(&self, class: u32, f: impl FnOnce(&ClassWeights) -> R) -> Option<R> {
+        match self.dense.get(class as usize) {
+            Some(slot) => slot.get().map(|cw| f(cw)),
+            None => self.class(class).map(|cw| f(&cw)),
+        }
     }
 
     fn stripe(key: &SpillKey) -> usize {
@@ -252,17 +217,22 @@ impl TransitionWeights {
         h.finish() as usize % SPILL_STRIPES
     }
 
-    /// Count one transition. Dense fast path: a read-only lookup and
-    /// a relaxed add. The striped map only sees keys with no dense
-    /// slot.
+    /// Count one transition out of DFA row `row` of `class`'s table:
+    /// one relaxed add, no lookup. Returns `false` when `class` has no
+    /// table or the cell is outside it (caller counts the row's state
+    /// set instead).
+    #[inline]
+    pub fn record_row(&self, class: u32, row: u32, sym: SymbolId) -> bool {
+        self.with_table(class, |cw| cw.record_row(row, sym)) == Some(true)
+    }
+
+    /// Count one transition out of the exact state set `from`: its
+    /// table row when the class's DFA has the set, else the striped
+    /// map.
     #[inline]
     pub fn record(&self, class: u32, from: &StateSet, sym: SymbolId) {
-        if let Some(slot) = self.dense.get(class as usize) {
-            if let Some(cw) = slot.get() {
-                if cw.record(from, sym) {
-                    return;
-                }
-            }
+        if self.with_table(class, |cw| cw.record(from, sym)) == Some(true) {
+            return;
         }
         let key = (class, *from, sym);
         *locks::lock(&self.spill[Self::stripe(&key)])
@@ -275,8 +245,8 @@ impl TransitionWeights {
     /// spillover and are still included).
     pub fn count(&self, class: u32, from: &StateSet, sym: SymbolId) -> u64 {
         let dense = self
-            .class(class)
-            .and_then(|cw| cw.count_from(from, sym))
+            .with_table(class, |cw| cw.count_from(from, sym))
+            .flatten()
             .unwrap_or(0);
         let key = (class, *from, sym);
         let spilled = locks::lock(&self.spill[Self::stripe(&key)])
@@ -322,12 +292,16 @@ impl TransitionWeights {
     /// Every transition recorded across all classes (the global
     /// update count).
     pub fn grand_total(&self) -> u64 {
-        let mut total: u64 = 0;
-        for slot in self.dense.iter() {
-            if let Some(cw) = slot.get() {
-                total += cw.total();
-            }
-        }
+        let mut total: u64 = self
+            .dense
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|cw| cw.total())
+            .sum();
+        total += locks::lock(&self.cold)
+            .values()
+            .map(|cw| cw.total())
+            .sum::<u64>();
         for stripe in self.spill.iter() {
             total += locks::lock(stripe).values().sum::<u64>();
         }
@@ -378,7 +352,7 @@ mod tests {
         let sym = a.site_sym;
         // Before registration: spills.
         w.record(0, &start, sym);
-        w.register(0, &a);
+        w.register(0, &a, None);
         // After registration: dense.
         w.record(0, &start, sym);
         w.record(0, &start, sym);
@@ -395,7 +369,7 @@ mod tests {
     fn unindexed_state_sets_spill_exactly() {
         let w = TransitionWeights::new();
         let a = automaton();
-        w.register(0, &a);
+        w.register(0, &a, None);
         // A merged (non-DFA) state set.
         let mut merged = StateSet::singleton(0);
         merged.insert(a.n_states.saturating_sub(1));

@@ -281,7 +281,8 @@ fn telemetry_counters_are_exact_under_parallel_dispatch() {
     }));
     let recorder = Arc::new(FlightRecorder::new(1 << 14));
     // A second registry, attached as a plain handler beside the
-    // engine's own: both must tally the same stream.
+    // engine's own, which the store step feeds directly: both must
+    // tally the same stream.
     let second = Arc::new(MetricsRegistry::new());
     t.add_handler(recorder.clone());
     t.add_handler(second.clone());

@@ -75,8 +75,8 @@ struct Names {
 }
 
 /// One per-thread class, lazy init: `previously(check(x) == 0)`
-/// within each `txn`. Telemetry attaches the registry, which sees a
-/// clone, two updates and two finalises per round.
+/// within each `txn`. Telemetry feeds the engine's registry, which
+/// counts a clone, two updates and two finalises per round.
 fn engine_with(fail_mode: FailMode, telemetry: bool) -> (Tesla, ClassId, Names) {
     let t = Tesla::new(Config {
         fail_mode,
@@ -165,8 +165,8 @@ fn steady_state_hooks_allocate_nothing() {
     hooks_allocate_nothing(false);
 }
 
-/// With telemetry on, each round's clone reaches the registry as a
-/// lifecycle event, which must not copy the clone's bindings.
+/// With telemetry on, the store step counts each round's clone into
+/// the registry, which must not copy the clone's bindings.
 #[test]
 fn telemetered_hooks_allocate_nothing() {
     hooks_allocate_nothing(true);

@@ -969,7 +969,8 @@ fn violation_messages_carry_actionable_context() {
 /// registered, and one scope specialises class 5 and class 1 050 alike
 /// and reaches both sites. The registry must tally every lifecycle
 /// event the stream carried, and report class 1 050 as it reports
-/// class 5.
+/// class 5: its counters, its transitions, its DOT weights and its
+/// coverage cells.
 #[test]
 fn registry_counts_classes_past_its_dense_table() {
     const CLASSES: usize = 1_100;
@@ -1030,6 +1031,26 @@ fn registry_counts_classes_past_its_dense_table() {
     );
     assert_eq!((high.news, high.clones, high.updates), (1, 1, 2));
     assert_eq!(m.class(1_050).expect("counters").news(), 1);
+    let cells = |c: &tesla_runtime::telemetry::ClassSnapshot| {
+        c.transitions
+            .iter()
+            .map(|t| (t.from_state, t.symbol, t.count))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(cells(low), [(0, 0, 1), (1, 1, 1)]);
+    assert_eq!(cells(high), cells(low));
+    let defs = t.class_defs();
+    let dot = |id: usize| {
+        let w = m.weight_source(id as u32).expect("a weight table");
+        let dot = tesla_automata::dot::render(&defs[id].automaton, &*w);
+        dot.replace(&format!("check_{id}("), "check(")
+            .replace(&format!("\"c{id}\""), "\"c\"")
+    };
+    assert_eq!(dot(1_050), dot(5));
+    let coverage = m.coverage_map();
+    let covered = |name: &str| coverage.class(name).map(|c| c.covered());
+    assert_eq!(covered("c1050"), covered("c5"));
+    assert_eq!(covered("c5"), Some(2));
 }
 
 /// Under LRU eviction, an earlier clone of one event can take the slot
