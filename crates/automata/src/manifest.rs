@@ -31,9 +31,9 @@ use tesla_spec::Assertion;
 /// first. Fingerprints are deterministic within one process but not
 /// across platforms or compiler versions (derived `Hash` feeds
 /// native-endian integers and length prefixes). That is all they need:
-/// no fingerprint leaves the process. Their three users are the
-/// compile-cache key, the pipeline's per-unit delta key and the
-/// `Fingerprint`-mode object key.
+/// no fingerprint leaves the process. Their users are the
+/// compile-cache key, the pipeline's per-unit delta key and its
+/// source fingerprints.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -184,26 +184,13 @@ impl Manifest {
         }
         Ok(plan)
     }
-
-    /// A content fingerprint: two manifests with equal fingerprints
-    /// produce identical instrumentation. Drives incremental-rebuild
-    /// decisions in the pipeline.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        for e in &self.entries {
-            e.source_file.hash(&mut h);
-            e.assertion.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tesla_spec::{
-        call, parse_assertion, ArgPattern, AssertionBuilder, CallKind, Context, EventExpr, Expr,
-        StaticEvent, Value,
+        call, ArgPattern, AssertionBuilder, CallKind, Context, EventExpr, Expr, StaticEvent, Value,
     };
 
     fn sample() -> Assertion {
@@ -260,16 +247,6 @@ mod tests {
         m.push("b.c", caller);
         let plan = m.instrumentation_plan().unwrap();
         assert_eq!(plan["EVP_VerifyFinal"], InstrSide::Caller);
-    }
-
-    #[test]
-    fn fingerprint_tracks_content() {
-        let mut a = Manifest::new();
-        a.push("a.c", sample());
-        let f1 = a.fingerprint();
-        assert_eq!(f1, a.clone().fingerprint());
-        a.push("b.c", sample());
-        assert_ne!(f1, a.fingerprint());
     }
 
     /// The `mac_socket_check_poll(ANY(ptr), so) == 0` event of
@@ -329,33 +306,5 @@ mod tests {
                 "{what} is not covered by the fingerprint"
             );
         }
-    }
-
-    #[test]
-    fn manifest_fingerprint_covers_order_and_provenance() {
-        let other = parse_assertion(
-            "TESLA_SYSCALL_PREVIOUSLY(mac_vnode_check_open(ANY(ptr), vp, ANY(int)) == 0)",
-        )
-        .unwrap();
-        let manifest = |entries: [(&str, &Assertion); 2]| {
-            let mut m = Manifest::new();
-            for (file, a) in entries {
-                m.push(file, a.clone());
-            }
-            m
-        };
-        let a = sample();
-        let base = manifest([("a.c", &a), ("b.c", &other)]).fingerprint();
-        assert_eq!(base, manifest([("a.c", &a), ("b.c", &other)]).fingerprint());
-        assert_ne!(
-            base,
-            manifest([("b.c", &other), ("a.c", &a)]).fingerprint(),
-            "entry order"
-        );
-        assert_ne!(
-            base,
-            manifest([("a.c", &a), ("c.c", &other)]).fingerprint(),
-            "source file"
-        );
     }
 }

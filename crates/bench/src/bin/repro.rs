@@ -564,13 +564,13 @@ fn telemetry() {
     println!("(budget: ≤1.05× at app-weight with metrics, hook timers and recorder attached)");
 }
 
-/// Build modes: the Naive/Fingerprint/Delta reinstrumentation sweep
+/// Build modes: the Naive/Delta reinstrumentation sweep
 /// over both build corpora, with a per-stage wall-clock breakdown of
 /// the incremental rebuild. The EXPERIMENTS.md "build modes" table
 /// records these rows; the acceptance targets are delta ≤5× clean and
 /// ≤10× incremental on the kernel corpus.
 fn build_modes() {
-    header("Build modes: naive vs fingerprint vs delta reinstrumentation");
+    header("Build modes: naive vs delta reinstrumentation");
     let nv = |mut o: BuildOptions| {
         o.verify = false;
         o
@@ -589,7 +589,6 @@ fn build_modes() {
     ];
     let policies = [
         ("naive", ReinstrumentPolicy::Naive),
-        ("fingerprint", ReinstrumentPolicy::Fingerprint),
         ("delta", ReinstrumentPolicy::Delta),
     ];
     for (name, project, touch) in &corpora {

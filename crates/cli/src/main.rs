@@ -9,7 +9,7 @@
 //! tesla lint    <file.c>...           specification-level lints (TESLA-L001…L006)
 //!                                     [--deny] [--format text|json|sarif] [--graph out.dot]
 //! tesla build   <file.c>...           full TESLA build, print instrumentation stats
-//!                                     [--reinstrument naive|fingerprint|delta] [--jobs N]
+//!                                     [--reinstrument naive|delta] [--jobs N]
 //!                                     [--timings] [--lint[=deny]]
 //! tesla run     <file.c>... [--entry f] [--arg N]... [--graph out.dot]
 //!               [--chaos SEED] [--faults k=p,...] [--govern SLO [--allow-shed]]
@@ -135,7 +135,7 @@ const USAGE: &str = "usage:
                                  never close, incompatible matchers;
                                  --graph writes DOT with mergeable
                                  states highlighted
-  tesla build   <file.c>... [--reinstrument naive|fingerprint|delta]
+  tesla build   <file.c>... [--reinstrument naive|delta]
                 [--jobs N] [--timings] [--lint[=deny]]
                                  TESLA build; print instrumentation
                                  stats. `delta` re-weaves only units
@@ -428,10 +428,9 @@ fn lint(rest: &[String]) -> Result<(), CliError> {
 fn parse_reinstrument(v: &str) -> Result<ReinstrumentPolicy, String> {
     match v {
         "naive" => Ok(ReinstrumentPolicy::Naive),
-        "fingerprint" => Ok(ReinstrumentPolicy::Fingerprint),
         "delta" => Ok(ReinstrumentPolicy::Delta),
         other => Err(format!(
-            "unknown --reinstrument `{other}` (expected naive|fingerprint|delta)"
+            "unknown --reinstrument `{other}` (expected naive|delta)"
         )),
     }
 }
@@ -447,10 +446,7 @@ fn build(rest: &[String]) -> Result<(), CliError> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--reinstrument" => {
-                policy = parse_reinstrument(
-                    it.next()
-                        .ok_or("--reinstrument needs naive|fingerprint|delta")?,
-                )?;
+                policy = parse_reinstrument(it.next().ok_or("--reinstrument needs naive|delta")?)?;
             }
             "--jobs" => {
                 jobs = it

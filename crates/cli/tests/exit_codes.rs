@@ -86,6 +86,14 @@ fn usage_and_io_errors_exit_two() {
         &tesla(&["lint", &example("lint_pathologies.c"), "--format"]),
         2,
     );
+    // A re-instrumentation policy that does not exist.
+    let out = tesla(&["build", &example("safe.c"), "--reinstrument", "fingerprint"]);
+    assert_exit(&out, 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown --reinstrument `fingerprint` (expected naive|delta)"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -14,17 +14,13 @@
 //! defined in any other source file … after modifying a TESLA
 //! assertion in any one source file, instrumentation must be
 //! performed again, potentially on many files. In our current
-//! implementation, we naively re-instrument all code" (§5.1). Three
+//! implementation, we naively re-instrument all code" (§5.1). Two
 //! [`ReinstrumentPolicy`] modes span the design space:
 //!
 //! * [`Naive`](ReinstrumentPolicy::Naive) reproduces the paper's
 //!   implementation: the combined `.tesla` file is regenerated on
 //!   every build, so every object is considered stale, and each unit
 //!   re-loads and re-parses the merged manifest (§7).
-//! * [`Fingerprint`](ReinstrumentPolicy::Fingerprint) is the first
-//!   "could be pared down through further build optimisation"
-//!   ablation: re-instrument all units only when the merged manifest
-//!   fingerprint changed.
 //! * [`Delta`](ReinstrumentPolicy::Delta) is the incremental
 //!   toolchain: assertions are compiled once per content fingerprint
 //!   in a shared [`CompileCache`], each unit's staleness is decided by
@@ -32,7 +28,7 @@
 //!   (see [`tesla_instrument::unit_touch_set`] and DESIGN.md §10),
 //!   and the per-unit back-end fans out across threads.
 //!
-//! All three policies share one early cutoff (DESIGN.md §10.5): the
+//! Both policies share one early cutoff (DESIGN.md §10.5): the
 //! merged manifest, and under `Delta` the weave plan built from it,
 //! are kept across builds until some unit's own manifest changes.
 
@@ -97,9 +93,6 @@ pub enum ReinstrumentPolicy {
     /// every IR file is considered stale).
     #[default]
     Naive,
-    /// Re-instrument all units only when the *merged manifest
-    /// fingerprint* actually changed; otherwise only dirty units.
-    Fingerprint,
     /// Delta-aware invalidation: re-instrument a unit only when the
     /// part of the instrumentation plan that can touch *that unit*
     /// changed. Automata are compiled once per assertion content
@@ -131,9 +124,9 @@ pub struct BuildOptions {
     pub lint: bool,
     /// Worker threads for the [`ReinstrumentPolicy::Delta`] front-end
     /// and back-end fan-out. `0` means "use the machine's available
-    /// parallelism"; `1` forces serial execution. The Naive and
-    /// Fingerprint modes always run serially — they exist to
-    /// reproduce the paper's measurements.
+    /// parallelism"; `1` forces serial execution. The Naive mode
+    /// always runs serially — it exists to reproduce the paper's
+    /// measurements.
     pub jobs: usize,
 }
 
@@ -345,21 +338,6 @@ fn fingerprint(s: &str) -> u64 {
     tesla_automata::fnv1a(s.as_bytes())
 }
 
-/// Fold the sorted elision set into a staleness key: a changed
-/// verdict must invalidate cached objects even when manifest and
-/// source fingerprints are unchanged (elision alters the woven
-/// object). Hashes the ids directly — no formatting round-trip.
-fn mix_elided(base: u64, elided: &HashSet<u32>) -> u64 {
-    let mut ids: Vec<u32> = elided.iter().copied().collect();
-    ids.sort_unstable();
-    let mut h = Fnv64::new();
-    h.write_u64(base);
-    for id in ids {
-        h.write_u32(id);
-    }
-    h.finish()
-}
-
 /// The per-unit Delta staleness key: a fingerprint (see [`Fnv64`]) of
 /// exactly the inputs the weave of this unit depends on —
 ///
@@ -510,7 +488,7 @@ impl BuildSystem {
     }
 
     /// Front-end: recompile units whose source fingerprint changed.
-    /// Serial for Naive/Fingerprint (the paper's toolchain), fanned
+    /// Serial for Naive (the paper's toolchain), fanned
     /// out for Delta. A unit that recompiles to a different manifest
     /// (or compiles for the first time) drops the merged manifest.
     fn run_frontend(&mut self, stats: &mut BuildStats) -> Result<(), BuildError> {
@@ -618,7 +596,7 @@ impl BuildSystem {
         Ok(plan)
     }
 
-    /// Back-end for Naive/Fingerprint: the paper's per-unit workflow,
+    /// Back-end for Naive: the paper's per-unit workflow,
     /// deliberately preserved — two IR round-trips per unit plus a
     /// re-load and re-parse of the merged `.tesla` text (§5.1, §7).
     fn weave_unit_naive(
@@ -738,8 +716,8 @@ impl BuildSystem {
         })
     }
 
-    /// Naive/Fingerprint (and non-TESLA) back-end: one staleness key
-    /// for the whole program, serial per-unit loop. The merged
+    /// Naive (and non-TESLA) back-end: one staleness key for the
+    /// whole program, serial per-unit loop. The merged
     /// `.tesla` text is only rendered when some unit actually needs
     /// re-weaving — a fully cached build serialises nothing.
     fn backend_serial(
@@ -749,18 +727,10 @@ impl BuildSystem {
         stats: &mut BuildStats,
     ) -> Result<Vec<Arc<Module>>, BuildError> {
         let manifest_key = if self.options.tesla {
-            let base = match self.options.reinstrument {
-                ReinstrumentPolicy::Naive => {
-                    // The combined .tesla file was just regenerated:
-                    // every object is considered stale.
-                    self.build_seq += 1;
-                    self.build_seq
-                }
-                ReinstrumentPolicy::Fingerprint | ReinstrumentPolicy::Delta => {
-                    manifest.fingerprint()
-                }
-            };
-            mix_elided(base, elided)
+            // The combined .tesla file was just regenerated: every
+            // object is considered stale.
+            self.build_seq += 1;
+            self.build_seq
         } else {
             0
         };

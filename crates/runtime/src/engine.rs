@@ -6,8 +6,12 @@
 //! instrumenter's generated event translators (§4.2): per
 //! (function, direction), (field), or (selector, direction) key, a
 //! list of `(class, symbol, static checks, variable extractions)`.
-//! At run time a hook does one table lookup; if nothing subscribes to
-//! the event it returns immediately (the cost measured by the
+//! Each key has one dispatch row of one type, whatever its kind: the
+//! translators, the bound groups the event starts and ends, and
+//! whether the event maintains the shadow call stack. The rows are
+//! stored per name-keyed hook kind, then per interned name. At run
+//! time a hook does one row lookup; if nothing subscribes to the
+//! event it returns immediately (the cost measured by the
 //! "Infrastructure" kernel configuration of fig. 11).
 //!
 //! # Concurrency model
@@ -49,8 +53,11 @@
 //!   a call with a staged batch, and [`Tesla::drive`] and
 //!   [`Tesla::drain_ingress`] stage their input into batches. Per
 //!   event the loop ticks the governor, tallies the event, draws the
-//!   chaos repetitions and runs the event's body; the call is
-//!   accounted once, when it ends (see
+//!   chaos repetitions and runs the event's body: the assertion
+//!   site's, or the one body of the five name-keyed hooks, with the
+//!   hook's kind as a const parameter. Translators and sites step the
+//!   store through one helper. The call is accounted once, when
+//!   it ends (see
 //!   [`crate::telemetry::metrics`]). Per-event and batched dispatch
 //!   agree because they are the same code: only the shard locking
 //!   differs, lock-per-access for a hook and guard coalescing for a
@@ -315,11 +322,26 @@ impl Check {
 /// Where an event value comes from.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
+    /// An argument; registration refuses a pattern whose index does
+    /// not fit (`RegisterError::TooManyArguments`).
     Arg(u8),
     Ret,
     Receiver,
     Object,
     StoredValue,
+}
+
+/// The values one name-keyed event carries, as the translators' slots
+/// read them. A value the event's kind does not carry is `None` (or,
+/// for arguments, absent), and a check or bind that reads it fails.
+#[derive(Debug, Default, Clone, Copy)]
+struct EventValues<'v> {
+    args: &'v [Value],
+    ret: Option<Value>,
+    receiver: Option<Value>,
+    /// Field stores: the struct type, the object, the operator and the
+    /// stored value.
+    field: Option<(NameId, Value, FieldOp, Value)>,
 }
 
 /// One compiled event translator: the static-check chain plus the
@@ -328,7 +350,6 @@ enum Slot {
 struct Translator {
     class: u32,
     sym: SymbolId,
-    context: Context,
     /// Minimum argument count for the pattern to apply.
     min_args: u8,
     checks: Vec<(Slot, Check)>,
@@ -339,27 +360,18 @@ struct Translator {
     field_op: Option<FieldOp>,
 }
 
-/// Per-function dispatch row.
+/// The dispatch row of one name-keyed event: one (function,
+/// direction), field, or (selector, direction) key.
 #[derive(Debug, Default, Clone)]
-struct FnTable {
-    entry: Vec<Translator>,
-    exit: Vec<Translator>,
-    /// Bound groups whose scope starts at this function's entry/exit.
-    bound_start_entry: Vec<u32>,
-    bound_start_exit: Vec<u32>,
-    /// Bound groups whose scope ends at this function's entry/exit.
-    bound_end_entry: Vec<u32>,
-    bound_end_exit: Vec<u32>,
+struct Row {
+    translators: Vec<Translator>,
+    /// Bound groups whose scope starts at this event.
+    bound_start: Vec<u32>,
+    /// Bound groups whose scope ends at this event.
+    bound_end: Vec<u32>,
     /// Maintain the shadow call stack for this function (it appears in
-    /// an `incallstack` guard).
-    push_stack: bool,
-}
-
-/// Per-selector dispatch row.
-#[derive(Debug, Default, Clone)]
-struct SelTable {
-    entry: Vec<Translator>,
-    exit: Vec<Translator>,
+    /// an `incallstack` guard): push on entry, pop on exit.
+    stack: bool,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -378,38 +390,34 @@ struct GroupDef {
     classes: Vec<u32>,
 }
 
+/// Name-keyed hook kinds: the index of their row tables.
+const N_NAMED: usize = HookKind::AssertionSite as usize;
+
 #[derive(Default, Clone)]
 struct Tables {
-    fn_tables: Vec<FnTable>,
-    field_tables: Vec<Vec<Translator>>,
-    sel_tables: Vec<SelTable>,
+    /// Dispatch rows per name-keyed hook kind (`HookKind as usize`),
+    /// then per [`NameId`].
+    rows: [Vec<Row>; N_NAMED],
     groups: Vec<GroupDef>,
     group_index: HashMap<GroupKey, u32>,
 }
 
 impl Tables {
-    fn fn_table_mut(&mut self, f: NameId) -> &mut FnTable {
-        let i = f.0 as usize;
-        if self.fn_tables.len() <= i {
-            self.fn_tables.resize_with(i + 1, FnTable::default);
+    fn row_mut(&mut self, kind: HookKind, id: NameId) -> &mut Row {
+        let rows = &mut self.rows[kind as usize];
+        let i = id.0 as usize;
+        if rows.len() <= i {
+            rows.resize_with(i + 1, Row::default);
         }
-        &mut self.fn_tables[i]
+        &mut rows[i]
     }
+}
 
-    fn field_table_mut(&mut self, f: NameId) -> &mut Vec<Translator> {
-        let i = f.0 as usize;
-        if self.field_tables.len() <= i {
-            self.field_tables.resize_with(i + 1, Vec::new);
-        }
-        &mut self.field_tables[i]
-    }
-
-    fn sel_table_mut(&mut self, s: NameId) -> &mut SelTable {
-        let i = s.0 as usize;
-        if self.sel_tables.len() <= i {
-            self.sel_tables.resize_with(i + 1, SelTable::default);
-        }
-        &mut self.sel_tables[i]
+/// The entry or exit kind of a directed event.
+fn by_direction(d: Direction, entry: HookKind, exit: HookKind) -> HookKind {
+    match d {
+        Direction::Entry => entry,
+        Direction::Exit => exit,
     }
 }
 
@@ -832,6 +840,15 @@ impl Tesla {
             if a.var_names.len() > MAX_VARS {
                 return Err(RegisterError::TooManyVariables(a.var_names.len()));
             }
+            for sym in &a.symbols {
+                if let SymbolKind::Function { args, .. } | SymbolKind::Message { args, .. } =
+                    &sym.kind
+                {
+                    if args.len() > usize::from(u8::MAX) {
+                        return Err(RegisterError::TooManyArguments(args.len()));
+                    }
+                }
+            }
         }
         let mut slot = locks::write(&self.snapshot);
         let mut next = Snapshot {
@@ -879,15 +896,12 @@ impl Tesla {
                     classes: vec![class],
                 });
                 tables.group_index.insert(gk.clone(), g);
-                // Wire the bound events into the function tables.
-                match gk.start_dir {
-                    Direction::Entry => tables.fn_table_mut(gk.start_fn).bound_start_entry.push(g),
-                    Direction::Exit => tables.fn_table_mut(gk.start_fn).bound_start_exit.push(g),
-                }
-                match gk.end_dir {
-                    Direction::Entry => tables.fn_table_mut(gk.end_fn).bound_end_entry.push(g),
-                    Direction::Exit => tables.fn_table_mut(gk.end_fn).bound_end_exit.push(g),
-                }
+                // Wire the bound events into the function rows.
+                let (entry, exit) = (HookKind::FnEntry, HookKind::FnExit);
+                let start = by_direction(gk.start_dir, entry, exit);
+                tables.row_mut(start, gk.start_fn).bound_start.push(g);
+                let end = by_direction(gk.end_dir, entry, exit);
+                tables.row_mut(end, gk.end_fn).bound_end.push(g);
                 g
             }
         };
@@ -897,16 +911,17 @@ impl Tesla {
         for t in &automaton.transitions {
             if let Some(Guard::InCallStack(f)) = &t.guard {
                 let id = self.interner.intern(f);
-                tables.fn_table_mut(id).push_stack = true;
+                tables.row_mut(HookKind::FnEntry, id).stack = true;
+                tables.row_mut(HookKind::FnExit, id).stack = true;
                 if !guard_fns.iter().any(|(_, g)| *g == id) {
                     guard_fns.push((f.clone(), id));
                 }
             }
         }
 
-        // Event translators.
+        // Event translators, each to the row of its kind and name.
         for sym in &automaton.symbols {
-            match &sym.kind {
+            let (kind, name, t) = match &sym.kind {
                 SymbolKind::Function {
                     name,
                     args,
@@ -914,14 +929,12 @@ impl Tesla {
                     ret,
                     ..
                 } => {
-                    let t =
-                        compile_fn_translator(class, sym, args, ret.as_ref(), automaton.context);
-                    let id = self.interner.intern(name);
-                    let ft = tables.fn_table_mut(id);
-                    match direction {
-                        Direction::Entry => ft.entry.push(t),
-                        Direction::Exit => ft.exit.push(t),
-                    }
+                    let kind = by_direction(*direction, HookKind::FnEntry, HookKind::FnExit);
+                    (
+                        kind,
+                        name,
+                        compile_fn_translator(class, sym, args, ret.as_ref()),
+                    )
                 }
                 SymbolKind::FieldAssign {
                     struct_name,
@@ -938,7 +951,6 @@ impl Tesla {
                     let mut t = Translator {
                         class,
                         sym: sym.id,
-                        context: automaton.context,
                         min_args: 0,
                         checks: Vec::new(),
                         binds: Vec::new(),
@@ -947,8 +959,7 @@ impl Tesla {
                     };
                     compile_pattern(object, Slot::Object, &mut t);
                     compile_pattern(value, Slot::StoredValue, &mut t);
-                    let id = self.interner.intern(field_name);
-                    tables.field_table_mut(id).push(t);
+                    (HookKind::FieldStore, field_name, t)
                 }
                 SymbolKind::Message {
                     receiver,
@@ -957,18 +968,15 @@ impl Tesla {
                     direction,
                     ret,
                 } => {
-                    let mut t =
-                        compile_fn_translator(class, sym, args, ret.as_ref(), automaton.context);
+                    let kind = by_direction(*direction, HookKind::MsgEntry, HookKind::MsgExit);
+                    let mut t = compile_fn_translator(class, sym, args, ret.as_ref());
                     compile_pattern(receiver, Slot::Receiver, &mut t);
-                    let id = self.interner.intern(selector);
-                    let st = tables.sel_table_mut(id);
-                    match direction {
-                        Direction::Entry => st.entry.push(t),
-                        Direction::Exit => st.exit.push(t),
-                    }
+                    (kind, selector, t)
                 }
-                SymbolKind::Site | SymbolKind::BoundStart | SymbolKind::BoundEnd => {}
-            }
+                SymbolKind::Site | SymbolKind::BoundStart | SymbolKind::BoundEnd => continue,
+            };
+            let id = self.interner.intern(name);
+            tables.row_mut(kind, id).translators.push(t);
         }
 
         next.classes.push(Arc::new(ClassDef {
@@ -1093,9 +1101,9 @@ impl Tesla {
     }
 
     /// Run one event's body: the one `match` from an event onto the
-    /// hook bodies, reading its value list through `values`. The event
-    /// stays where its caller holds it, so each arm loads only its own
-    /// fields.
+    /// name-keyed body ([`Tesla::on_name`]) or the assertion site,
+    /// reading its value list through `values`. The event stays where
+    /// its caller holds it, so each arm loads only its own fields.
     #[inline(always)]
     fn step<'a, 'e, V: Copy>(
         &'a self,
@@ -1105,10 +1113,22 @@ impl Tesla {
         ev: &Event<V>,
         values: &impl Fn(V) -> &'e [Value],
     ) -> Result<(), Violation> {
+        let none = EventValues::default();
         match *ev {
-            Event::FnEntry { f, args } => self.fn_entry_inner(tls, snap, cache, f, values(args)),
+            Event::FnEntry { f, args } => {
+                let ev = EventValues {
+                    args: values(args),
+                    ..none
+                };
+                self.on_name::<{ HookKind::FnEntry as usize }>(tls, snap, cache, f, ev)
+            }
             Event::FnExit { f, args, ret } => {
-                self.fn_exit_inner(tls, snap, cache, f, values(args), ret)
+                let ev = EventValues {
+                    args: values(args),
+                    ret: Some(ret),
+                    ..none
+                };
+                self.on_name::<{ HookKind::FnExit as usize }>(tls, snap, cache, f, ev)
             }
             Event::FieldStore {
                 struct_id,
@@ -1116,18 +1136,39 @@ impl Tesla {
                 object,
                 op,
                 value,
-            } => self.field_store_inner(tls, snap, cache, struct_id, field_id, object, op, value),
+            } => {
+                let ev = EventValues {
+                    field: Some((struct_id, object, op, value)),
+                    ..none
+                };
+                self.on_name::<{ HookKind::FieldStore as usize }>(tls, snap, cache, field_id, ev)
+            }
             Event::MsgEntry {
                 sel,
                 receiver,
                 args,
-            } => self.msg_entry_inner(tls, snap, cache, sel, receiver, values(args)),
+            } => {
+                let ev = EventValues {
+                    args: values(args),
+                    receiver: Some(receiver),
+                    ..none
+                };
+                self.on_name::<{ HookKind::MsgEntry as usize }>(tls, snap, cache, sel, ev)
+            }
             Event::MsgExit {
                 sel,
                 receiver,
                 args,
                 ret,
-            } => self.msg_exit_inner(tls, snap, cache, sel, receiver, values(args), ret),
+            } => {
+                let ev = EventValues {
+                    args: values(args),
+                    ret: Some(ret),
+                    receiver: Some(receiver),
+                    ..none
+                };
+                self.on_name::<{ HookKind::MsgExit as usize }>(tls, snap, cache, sel, ev)
+            }
             Event::Site { class, values: v } => {
                 self.assertion_site_inner(tls, snap, cache, class, values(v))
             }
@@ -1161,34 +1202,61 @@ impl Tesla {
         Err(Violation::unknown_name(what, &format!("#{}", id.0)))
     }
 
-    fn fn_entry_inner<'a>(
+    /// The one body of the five name-keyed hooks: look up the row of
+    /// `(kind, id)`, push the shadow call stack on an entry, start the
+    /// row's bound groups, run its translators, end its bound groups,
+    /// dispose of the first violation, and pop the shadow call stack
+    /// on an exit. The stack is pushed before an entry's work and
+    /// popped after an exit's, so an `incallstack(f)` guard sees `f`
+    /// during both of `f`'s own events.
+    ///
+    /// A missing row is triaged per namespace: a field store checks
+    /// its struct id first, then its field id.
+    ///
+    /// The kind is a const parameter (`HookKind as usize`), so each
+    /// kind has its own copy of the body with the kind folded in, for
+    /// the hooks and the batch loop alike, and a hook's call site
+    /// stays a call.
+    fn on_name<'a, const KIND: usize>(
         &'a self,
         tls: &EngineTls,
         snap: &Snapshot,
         cache: &mut ShardCache<'a>,
-        f: NameId,
-        args: &[Value],
+        id: NameId,
+        ev: EventValues<'_>,
     ) -> Result<(), Violation> {
-        let Some(ft) = snap.tables.fn_tables.get(f.0 as usize) else {
-            return self.check_known(f, "function");
+        let kind = HookKind::ALL[KIND];
+        let Some(row) = snap.tables.rows[KIND].get(id.0 as usize) else {
+            if let Some((struct_id, ..)) = ev.field {
+                self.check_known(struct_id, "struct")?;
+            }
+            let what = match kind {
+                HookKind::FnEntry | HookKind::FnExit => "function",
+                HookKind::FieldStore => "field",
+                _ => "selector",
+            };
+            return self.check_known(id, what);
         };
-        if ft.push_stack {
-            tls.stack.borrow_mut().push(f);
-        }
-        if ft.bound_start_entry.is_empty() && ft.bound_end_entry.is_empty() && ft.entry.is_empty() {
-            return Ok(());
+        if kind == HookKind::FnEntry && row.stack {
+            tls.stack.borrow_mut().push(id);
         }
         let mut first = None;
-        for &g in &ft.bound_start_entry {
+        for &g in &row.bound_start {
             self.enter_group(snap, tls, cache, g);
         }
-        self.run_translators(
-            snap, tls, cache, &ft.entry, args, None, None, None, &mut first,
-        );
-        for &g in &ft.bound_end_entry {
+        if !row.translators.is_empty() {
+            self.run_translators(snap, tls, cache, &row.translators, ev, &mut first);
+        }
+        for &g in &row.bound_end {
             self.exit_group(snap, tls, cache, g, &mut first);
         }
-        self.dispose(first)
+        if kind == HookKind::FnExit && row.stack {
+            let mut s = tls.stack.borrow_mut();
+            if let Some(pos) = s.iter().rposition(|x| *x == id) {
+                s.remove(pos);
+            }
+        }
+        first.map_or(Ok(()), |v| self.dispose(v))
     }
 
     /// Function-exit hook; `args` are the entry arguments, `ret` the
@@ -1206,53 +1274,6 @@ impl Tesla {
     #[inline]
     pub fn fn_exit(&self, f: NameId, args: &[Value], ret: Value) -> Result<(), Violation> {
         self.deliver_one(Event::FnExit { f, args, ret })
-    }
-
-    fn fn_exit_inner<'a>(
-        &'a self,
-        tls: &EngineTls,
-        snap: &Snapshot,
-        cache: &mut ShardCache<'a>,
-        f: NameId,
-        args: &[Value],
-        ret: Value,
-    ) -> Result<(), Violation> {
-        let Some(ft) = snap.tables.fn_tables.get(f.0 as usize) else {
-            return self.check_known(f, "function");
-        };
-        let mut first = None;
-        let active =
-            !ft.bound_start_exit.is_empty() || !ft.bound_end_exit.is_empty() || !ft.exit.is_empty();
-        if active {
-            for &g in &ft.bound_start_exit {
-                self.enter_group(snap, tls, cache, g);
-            }
-            self.run_translators(
-                snap,
-                tls,
-                cache,
-                &ft.exit,
-                args,
-                Some(ret),
-                None,
-                None,
-                &mut first,
-            );
-            for &g in &ft.bound_end_exit {
-                self.exit_group(snap, tls, cache, g, &mut first);
-            }
-        }
-        if ft.push_stack {
-            let mut s = tls.stack.borrow_mut();
-            if let Some(pos) = s.iter().rposition(|x| *x == f) {
-                s.remove(pos);
-            }
-        }
-        if active {
-            self.dispose(first)
-        } else {
-            Ok(())
-        }
     }
 
     /// Structure-field-assignment hook (§4.2 "Field assignment"):
@@ -1281,41 +1302,6 @@ impl Tesla {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn field_store_inner<'a>(
-        &'a self,
-        tls: &EngineTls,
-        snap: &Snapshot,
-        cache: &mut ShardCache<'a>,
-        struct_id: NameId,
-        field_id: NameId,
-        object: Value,
-        op: FieldOp,
-        value: Value,
-    ) -> Result<(), Violation> {
-        let Some(entries) = snap.tables.field_tables.get(field_id.0 as usize) else {
-            return self
-                .check_known(struct_id, "struct")
-                .and_then(|()| self.check_known(field_id, "field"));
-        };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let mut first = None;
-        self.run_translators(
-            snap,
-            tls,
-            cache,
-            entries,
-            &[],
-            None,
-            Some((struct_id, object, op, value)),
-            None,
-            &mut first,
-        );
-        self.dispose(first)
-    }
-
     /// Message-send (method entry) hook (§4.3).
     ///
     /// # Errors
@@ -1329,36 +1315,6 @@ impl Tesla {
             receiver,
             args,
         })
-    }
-
-    fn msg_entry_inner<'a>(
-        &'a self,
-        tls: &EngineTls,
-        snap: &Snapshot,
-        cache: &mut ShardCache<'a>,
-        sel: NameId,
-        receiver: Value,
-        args: &[Value],
-    ) -> Result<(), Violation> {
-        let Some(st) = snap.tables.sel_tables.get(sel.0 as usize) else {
-            return self.check_known(sel, "selector");
-        };
-        if st.entry.is_empty() {
-            return Ok(());
-        }
-        let mut first = None;
-        self.run_translators(
-            snap,
-            tls,
-            cache,
-            &st.entry,
-            args,
-            None,
-            None,
-            Some(receiver),
-            &mut first,
-        );
-        self.dispose(first)
     }
 
     /// Method-return hook (§4.3).
@@ -1381,38 +1337,6 @@ impl Tesla {
             args,
             ret,
         })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn msg_exit_inner<'a>(
-        &'a self,
-        tls: &EngineTls,
-        snap: &Snapshot,
-        cache: &mut ShardCache<'a>,
-        sel: NameId,
-        receiver: Value,
-        args: &[Value],
-        ret: Value,
-    ) -> Result<(), Violation> {
-        let Some(st) = snap.tables.sel_tables.get(sel.0 as usize) else {
-            return self.check_known(sel, "selector");
-        };
-        if st.exit.is_empty() {
-            return Ok(());
-        }
-        let mut first = None;
-        self.run_translators(
-            snap,
-            tls,
-            cache,
-            &st.exit,
-            args,
-            Some(ret),
-            None,
-            Some(receiver),
-            &mut first,
-        );
-        self.dispose(first)
     }
 
     /// Assertion-site hook: execution reached the assertion's source
@@ -1451,23 +1375,8 @@ impl Tesla {
             bindings[i] = (i, *v);
         }
         let sym = def.automaton.site_sym;
-        let mut first = None;
-        let d = self.dispatch(snap);
-        self.with_store(def.automaton.context, def.group, tls, cache, |store| {
-            store.ensure(snap.classes.len(), snap.tables.groups.len());
-            if store.groups[def.group as usize].depth == 0 {
-                // Outside the temporal bound: the site is unreachable
-                // by automaton semantics; treat as unchecked.
-                return;
-            }
-            store.materialize(class.0, def, &d);
-            let mut guard_ok = guard_eval(def, &tls.stack);
-            let out = store.apply_event(class.0, def, sym, &bindings[..n], true, &mut guard_ok, &d);
-            if let Some(v) = out.violation {
-                first.get_or_insert(v);
-            }
-        });
-        self.dispose(first)
+        self.step_class(snap, tls, cache, class.0, sym, &bindings[..n])
+            .map_or(Ok(()), |v| self.dispose(v))
     }
 
     /// Dispatch a staged batch: one call of the dispatch loop over all
@@ -1627,16 +1536,12 @@ impl Tesla {
         tls.version.set(v);
     }
 
-    fn dispose(&self, v: Option<Violation>) -> Result<(), Violation> {
-        match v {
-            None => Ok(()),
-            Some(v) => {
-                locks::lock(&self.violation_log).push(v.clone());
-                match self.config.fail_mode {
-                    FailMode::FailStop => Err(v),
-                    FailMode::Log => Ok(()),
-                }
-            }
+    /// Record a violation and apply [`Config::fail_mode`] to it.
+    fn dispose(&self, v: Violation) -> Result<(), Violation> {
+        locks::lock(&self.violation_log).push(v.clone());
+        match self.config.fail_mode {
+            FailMode::FailStop => Err(v),
+            FailMode::Log => Ok(()),
         }
     }
 
@@ -1815,48 +1720,39 @@ impl Tesla {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Run a row's translators over one event (§4.2): each applies if
+    /// its static checks pass and every variable it binds has a value,
+    /// and then steps its class; the first violation lands in `first`.
     fn run_translators<'a>(
         &'a self,
         snap: &Snapshot,
         tls: &EngineTls,
         cache: &mut ShardCache<'a>,
         entries: &[Translator],
-        args: &[Value],
-        ret: Option<Value>,
-        field: Option<(NameId, Value, FieldOp, Value)>,
-        receiver: Option<Value>,
+        ev: EventValues<'_>,
         first: &mut Option<Violation>,
     ) {
-        if entries.is_empty() {
-            return;
-        }
         // Fixed-size binding buffer: no per-event heap allocation.
         let mut bindings = [(0usize, Value::NULL); MAX_VARS];
         'entry: for t in entries {
             // Static checks (§4.2: "the generated code checks static
             // event parameters ... otherwise, the translator branches
             // to the static checks for the next automaton").
-            if (args.len() as u8) < t.min_args {
+            if ev.args.len() < usize::from(t.min_args) {
                 continue;
             }
-            if let Some((struct_id, _, op, _)) = &field {
-                if let Some(want) = t.struct_filter {
-                    if want != *struct_id {
-                        continue;
-                    }
-                }
-                if t.field_op != Some(*op) {
+            if let Some((struct_id, _, op, _)) = ev.field {
+                if t.struct_filter.is_some_and(|want| want != struct_id) || t.field_op != Some(op) {
                     continue;
                 }
             }
             let slot_value = |slot: &Slot| -> Option<Value> {
                 match slot {
-                    Slot::Arg(i) => args.get(*i as usize).copied(),
-                    Slot::Ret => ret,
-                    Slot::Receiver => receiver,
-                    Slot::Object => field.map(|(_, o, _, _)| o),
-                    Slot::StoredValue => field.map(|(_, _, _, v)| v),
+                    Slot::Arg(i) => ev.args.get(usize::from(*i)).copied(),
+                    Slot::Ret => ev.ret,
+                    Slot::Receiver => ev.receiver,
+                    Slot::Object => ev.field.map(|(_, o, _, _)| o),
+                    Slot::StoredValue => ev.field.map(|(_, _, _, v)| v),
                 }
             };
             for (slot, check) in &t.checks {
@@ -1876,29 +1772,42 @@ impl Tesla {
                     None => continue 'entry,
                 }
             }
-            let def = &snap.classes[t.class as usize];
-            let d = self.dispatch(snap);
-            self.with_store(t.context, def.group, tls, cache, |store| {
-                store.ensure(snap.classes.len(), snap.tables.groups.len());
-                if store.groups[def.group as usize].depth == 0 {
-                    return; // outside the temporal bound
-                }
-                store.materialize(t.class, def, &d);
-                let mut guard_ok = guard_eval(def, &tls.stack);
-                let out = store.apply_event(
-                    t.class,
-                    def,
-                    t.sym,
-                    &bindings[..nb],
-                    false,
-                    &mut guard_ok,
-                    &d,
-                );
-                if let Some(v) = out.violation {
-                    first.get_or_insert(v);
-                }
-            });
+            if let Some(v) = self.step_class(snap, tls, cache, t.class, t.sym, &bindings[..nb]) {
+                first.get_or_insert(v);
+            }
         }
+    }
+
+    /// Step one class on one symbol: the store step that translators
+    /// and assertion sites share. Inside the class's temporal bound it
+    /// materialises the class, evaluates guards against this thread's
+    /// shadow call stack and applies the event; outside the bound the
+    /// event is unreachable by automaton semantics and is ignored.
+    /// Returns the violation the step raised.
+    #[inline]
+    fn step_class<'a>(
+        &'a self,
+        snap: &Snapshot,
+        tls: &EngineTls,
+        cache: &mut ShardCache<'a>,
+        class: u32,
+        sym: SymbolId,
+        bindings: &[(usize, Value)],
+    ) -> Option<Violation> {
+        let def = &snap.classes[class as usize];
+        let is_site = sym == def.automaton.site_sym;
+        let d = self.dispatch(snap);
+        self.with_store(def.automaton.context, def.group, tls, cache, |store| {
+            store.ensure(snap.classes.len(), snap.tables.groups.len());
+            if store.groups[def.group as usize].depth == 0 {
+                return None;
+            }
+            store.materialize(class, def, &d);
+            let mut guard_ok = guard_eval(def, &tls.stack);
+            store
+                .apply_event(class, def, sym, bindings, is_site, &mut guard_ok, &d)
+                .violation
+        })
     }
 }
 
@@ -1918,17 +1827,17 @@ fn guard_eval<'a>(
     }
 }
 
+/// A function or message translator. Registration has refused a
+/// pattern of more than 255 arguments, so every index fits its `u8`.
 fn compile_fn_translator(
     class: u32,
     sym: &Symbol,
     args: &[ArgPattern],
     ret: Option<&ArgPattern>,
-    context: Context,
 ) -> Translator {
     let mut t = Translator {
         class,
         sym: sym.id,
-        context,
         min_args: args.len() as u8,
         checks: Vec::new(),
         binds: Vec::new(),

@@ -30,7 +30,7 @@
 //! [`crate::input`], which baseline and scenario files share, so a
 //! bad line reads the same in all three.
 //!
-//! Name-resolution policy, per namespace: *introducing* events
+//! Name-resolution policy, per event kind: *introducing* events
 //! (`fn_entry`, `msg_entry`, `field_store`) intern their names —
 //! producers legitimately mention functions the spec never saw.
 //! *Closing* events (`fn_exit`, `msg_exit`) only resolve names that
@@ -161,14 +161,10 @@ impl EventSource for BufferedSource {
 ///
 /// Each source owns one cache, so resolution is done exactly once
 /// per distinct name per source and two sources feeding one engine
-/// can never alias through a shared map. The namespaces are kept
-/// apart exactly as the engine's dispatch tables keep them apart.
+/// can never alias through a shared map.
 #[derive(Debug, Default)]
 pub struct NameCache {
-    fns: HashMap<String, NameId>,
-    structs: HashMap<String, NameId>,
-    fields: HashMap<String, NameId>,
-    selectors: HashMap<String, NameId>,
+    names: HashMap<String, NameId>,
 }
 
 impl NameCache {
@@ -177,31 +173,23 @@ impl NameCache {
         NameCache::default()
     }
 
-    fn intern(
-        map: &mut HashMap<String, NameId>,
-        name: &str,
-        intern: impl FnOnce(&str) -> NameId,
-    ) -> NameId {
-        if let Some(id) = map.get(name) {
+    fn intern(&mut self, engine: &Tesla, name: &str) -> NameId {
+        if let Some(id) = self.names.get(name) {
             return *id;
         }
-        let id = intern(name);
-        map.insert(name.to_string(), id);
+        let id = engine.interner().intern(name);
+        self.names.insert(name.to_string(), id);
         id
     }
 
     /// Resolve without interning: `None` when the engine has never
-    /// seen `name` in this namespace.
-    fn resolve(
-        map: &mut HashMap<String, NameId>,
-        name: &str,
-        get: impl FnOnce(&str) -> Option<NameId>,
-    ) -> Option<NameId> {
-        if let Some(id) = map.get(name) {
+    /// seen `name`.
+    fn resolve(&mut self, engine: &Tesla, name: &str) -> Option<NameId> {
+        if let Some(id) = self.names.get(name) {
             return Some(*id);
         }
-        let id = get(name)?;
-        map.insert(name.to_string(), id);
+        let id = engine.interner().get(name)?;
+        self.names.insert(name.to_string(), id);
         Some(id)
     }
 }
@@ -284,18 +272,16 @@ impl Tesla {
     ) -> Result<HookEvent<'e>, (HookKind, Violation)> {
         Ok(match ev {
             IngressEventRef::FnEntry { name, args } => Event::FnEntry {
-                f: NameCache::intern(&mut cache.fns, name, |n| self.intern_fn(n)),
+                f: cache.intern(self, name),
                 args,
             },
-            IngressEventRef::FnExit { name, args, ret } => {
-                match NameCache::resolve(&mut cache.fns, name, |n| self.interner().get(n)) {
-                    Some(f) => Event::FnExit { f, args, ret },
-                    None => {
-                        let v = Violation::unknown_name("function", name);
-                        return Err((HookKind::FnExit, v));
-                    }
+            IngressEventRef::FnExit { name, args, ret } => match cache.resolve(self, name) {
+                Some(f) => Event::FnExit { f, args, ret },
+                None => {
+                    let v = Violation::unknown_name("function", name);
+                    return Err((HookKind::FnExit, v));
                 }
-            }
+            },
             IngressEventRef::FieldStore {
                 strct,
                 field,
@@ -303,8 +289,8 @@ impl Tesla {
                 op,
                 value,
             } => Event::FieldStore {
-                struct_id: NameCache::intern(&mut cache.structs, strct, |n| self.intern_struct(n)),
-                field_id: NameCache::intern(&mut cache.fields, field, |n| self.intern_field(n)),
+                struct_id: cache.intern(self, strct),
+                field_id: cache.intern(self, field),
                 object,
                 op,
                 value,
@@ -314,7 +300,7 @@ impl Tesla {
                 receiver,
                 args,
             } => Event::MsgEntry {
-                sel: NameCache::intern(&mut cache.selectors, selector, |n| self.intern_selector(n)),
+                sel: cache.intern(self, selector),
                 receiver,
                 args,
             },
@@ -323,21 +309,18 @@ impl Tesla {
                 receiver,
                 args,
                 ret,
-            } => {
-                match NameCache::resolve(&mut cache.selectors, selector, |n| self.interner().get(n))
-                {
-                    Some(sel) => Event::MsgExit {
-                        sel,
-                        receiver,
-                        args,
-                        ret,
-                    },
-                    None => {
-                        let v = Violation::unknown_name("selector", selector);
-                        return Err((HookKind::MsgExit, v));
-                    }
+            } => match cache.resolve(self, selector) {
+                Some(sel) => Event::MsgExit {
+                    sel,
+                    receiver,
+                    args,
+                    ret,
+                },
+                None => {
+                    let v = Violation::unknown_name("selector", selector);
+                    return Err((HookKind::MsgExit, v));
                 }
-            }
+            },
             IngressEventRef::AssertionSite { class, values } => Event::Site {
                 class: crate::ClassId(class),
                 values,

@@ -132,6 +132,9 @@ pub const MAX_VARS: usize = 8;
 pub enum RegisterError {
     /// The assertion uses more than [`MAX_VARS`] variables.
     TooManyVariables(usize),
+    /// An event pattern names more than 255 arguments, past what a
+    /// translator's argument index holds.
+    TooManyArguments(usize),
 }
 
 impl std::fmt::Display for RegisterError {
@@ -142,6 +145,9 @@ impl std::fmt::Display for RegisterError {
                     f,
                     "assertion uses {n} variables; libtesla supports {MAX_VARS}"
                 )
+            }
+            RegisterError::TooManyArguments(n) => {
+                write!(f, "event pattern has {n} arguments; libtesla supports 255")
             }
         }
     }

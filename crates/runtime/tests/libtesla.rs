@@ -1159,3 +1159,162 @@ fn debug_builds_check_every_dfa_step_against_the_nfa() {
     t.fn_entry(req, &[]).unwrap();
     let _ = t.assertion_site(ids[0], &[]);
 }
+
+/// `within(main, previously(check(x) == 0))` over a `check` call with
+/// `n` arguments, the first 5, and a site with `x = 5`: the check
+/// satisfies the site at every argument count. A count that a
+/// translator truncated to eight bits read 256 and 512 as 0, skipped
+/// the check and raised a false site violation.
+#[test]
+fn argument_counts_past_255_reach_translators() {
+    use tesla_runtime::{IngressEventRef, JsonlSource, TraceWriter};
+    let spec = AssertionBuilder::within("main")
+        .named("wide_check")
+        .previously(call("check").arg_var("x").returns(0))
+        .build()
+        .unwrap();
+    let engine = || {
+        reset_thread_state();
+        let t = Tesla::new(Config {
+            fail_mode: FailMode::Log,
+            ..Config::default()
+        });
+        let id = t.register(compile(&spec).unwrap()).unwrap();
+        (t, id)
+    };
+    for n in [1, 2, 255, 256, 257, 512] {
+        let mut args = vec![Value(0); n];
+        args[0] = Value(5);
+
+        let (t, id) = engine();
+        let (main, check) = (t.intern_fn("main"), t.intern_fn("check"));
+        t.fn_entry(main, &[]).unwrap();
+        t.fn_entry(check, &args).unwrap();
+        t.fn_exit(check, &args, Value(0)).unwrap();
+        t.assertion_site(id, &[Value(5)]).unwrap();
+        t.fn_exit(main, &[], Value(0)).unwrap();
+        assert_eq!(t.violations(), [], "direct hooks, {n} arguments");
+
+        let mut w = TraceWriter::new(Vec::new());
+        for ev in [
+            IngressEventRef::FnEntry {
+                name: "main",
+                args: &[],
+            },
+            IngressEventRef::FnEntry {
+                name: "check",
+                args: &args,
+            },
+            IngressEventRef::FnExit {
+                name: "check",
+                args: &args,
+                ret: Value(0),
+            },
+            IngressEventRef::AssertionSite {
+                class: id.0,
+                values: &[Value(5)],
+            },
+            IngressEventRef::FnExit {
+                name: "main",
+                args: &[],
+                ret: Value(0),
+            },
+        ] {
+            w.record(&ev).unwrap();
+        }
+        let trace = w.finish().unwrap();
+        let (t, _) = engine();
+        t.drive(&mut JsonlSource::new(trace.as_slice())).unwrap();
+        assert_eq!(t.violations(), [], "JSONL trace, {n} arguments");
+    }
+
+    // A pattern's argument index is eight bits wide: registration
+    // refuses a pattern past it rather than truncate the index.
+    let wide = |n: usize| {
+        let c = (0..n).fold(call("check"), |c, _| c.any("int"));
+        let a = AssertionBuilder::within("main")
+            .named("wide_pattern")
+            .previously(c.returns(0))
+            .build()
+            .unwrap();
+        Tesla::with_defaults().register(compile(&a).unwrap())
+    };
+    assert!(wide(255).is_ok());
+    assert_eq!(
+        wide(256).unwrap_err(),
+        tesla_runtime::RegisterError::TooManyArguments(256)
+    );
+}
+
+/// Each name-keyed hook refuses an id this engine never interned, as a
+/// direct hook and as the first event of a batch, which stops there.
+/// A field store checks its struct id before its field id.
+#[test]
+fn name_keyed_hooks_reject_ids_never_interned() {
+    use tesla_runtime::{BatchBuf, NameId};
+    let t = Tesla::with_defaults();
+    let a = AssertionBuilder::within("main")
+        .named("known")
+        .previously(call("check").returns(0))
+        .build()
+        .unwrap();
+    t.register(compile(&a).unwrap()).unwrap();
+    let (main, strct) = (t.intern_fn("main"), t.intern_struct("s"));
+    let ghost = NameId(1_000_000);
+    let args = [Value(1)];
+    type Push = Box<dyn Fn(&mut BatchBuf)>;
+    let cases: [(&str, Result<(), Violation>, Push); 6] = [
+        (
+            "function",
+            t.fn_entry(ghost, &args),
+            Box::new(move |b| b.push_fn_entry(ghost, &args)),
+        ),
+        (
+            "function",
+            t.fn_exit(ghost, &args, Value(0)),
+            Box::new(move |b| b.push_fn_exit(ghost, &args, Value(0))),
+        ),
+        (
+            "struct",
+            t.field_store(ghost, ghost, Value(1), FieldOp::Assign, Value(2)),
+            Box::new(move |b| {
+                b.push_field_store(ghost, ghost, Value(1), FieldOp::Assign, Value(2))
+            }),
+        ),
+        (
+            "field",
+            t.field_store(strct, ghost, Value(1), FieldOp::Assign, Value(2)),
+            Box::new(move |b| {
+                b.push_field_store(strct, ghost, Value(1), FieldOp::Assign, Value(2))
+            }),
+        ),
+        (
+            "selector",
+            t.msg_entry(ghost, Value(3), &args),
+            Box::new(move |b| b.push_msg_entry(ghost, Value(3), &args)),
+        ),
+        (
+            "selector",
+            t.msg_exit(ghost, Value(3), &args, Value(0)),
+            Box::new(move |b| b.push_msg_exit(ghost, Value(3), &args, Value(0))),
+        ),
+    ];
+    for (what, direct, push) in cases {
+        let want = format!("{what} `#1000000` was never interned by this engine");
+        let err = direct.unwrap_err();
+        assert_eq!(
+            (err.kind, err.detail.as_str()),
+            (ViolationKind::UnknownName, &*want)
+        );
+        let mut batch = BatchBuf::new();
+        push(&mut batch);
+        batch.push_fn_entry(main, &[]);
+        let (idx, err) = t.dispatch_batch(&batch).unwrap_err();
+        assert_eq!(idx, 0, "{want}");
+        assert_eq!(
+            (err.kind, err.detail.as_str()),
+            (ViolationKind::UnknownName, &*want)
+        );
+    }
+    assert!(t.violations().is_empty(), "unknown names are not logged");
+}

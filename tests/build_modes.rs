@@ -1,10 +1,10 @@
-//! Differential tests for the three re-instrumentation policies.
+//! Differential tests for the two re-instrumentation policies.
 //!
 //! `Delta` exists purely as a build *optimisation*: for any sequence
 //! of edits it must be observationally equivalent to the paper's
 //! `Naive` toolchain — identical linked program, manifest,
 //! model-checker verdicts, and runtime behaviour — while re-weaving
-//! strictly fewer units. These tests drive all three policies through
+//! strictly fewer units. These tests drive both policies through
 //! identical randomized edit scripts and compare everything that is
 //! observable, then pin the delta-invalidation rule down exactly:
 //! an assertion edit re-weaves the units the changed plan slice can
@@ -117,9 +117,9 @@ fn assert_equivalent(a: &BuildArtifacts, b: &BuildArtifacts, ctx: &str) {
     assert_eq!(viol_a, viol_b, "violation traces diverge: {ctx}");
 }
 
-/// Drive Naive, Fingerprint, and Delta through one randomized edit
-/// script and require observational equivalence after every build.
-/// All three keep program-wide state across builds (DESIGN.md §10.5),
+/// Drive Naive and Delta through one randomized edit script and
+/// require observational equivalence after every build. Both keep
+/// program-wide state across builds (DESIGN.md §10.5),
 /// so every step is also built from scratch on a fresh `Delta` build
 /// system, and the incremental `Delta` build must equal that clean one.
 fn differential_run(seed: u64, steps: usize) {
@@ -135,17 +135,11 @@ fn differential_run(seed: u64, steps: usize) {
     ];
     let initial = project_for(&states);
     let mut naive = BuildSystem::new(initial.clone(), options_for(ReinstrumentPolicy::Naive));
-    let mut fingerprint = BuildSystem::new(
-        initial.clone(),
-        options_for(ReinstrumentPolicy::Fingerprint),
-    );
     let mut delta = BuildSystem::new(initial, options_for(ReinstrumentPolicy::Delta));
 
     let a = naive.build().unwrap();
-    let b = fingerprint.build().unwrap();
     let c = delta.build().unwrap();
     assert_equivalent(&a, &c, "initial naive vs delta");
-    assert_equivalent(&b, &c, "initial fingerprint vs delta");
 
     for step in 0..steps {
         let s = rng.below(N_SUBSYS);
@@ -172,18 +166,15 @@ fn differential_run(seed: u64, steps: usize) {
         let st = states[s];
         let src = subsys_src(s, st.asserts, st.checker, st.expect, st.salt);
         naive.edit(&file, &src);
-        fingerprint.edit(&file, &src);
         delta.edit(&file, &src);
 
         let a = naive.build().unwrap();
-        let b = fingerprint.build().unwrap();
         let c = delta.build().unwrap();
         let clean = BuildSystem::new(project_for(&states), options_for(ReinstrumentPolicy::Delta))
             .build()
             .unwrap();
         let ctx = format!("seed {seed} step {step} kind {kind} unit {s}");
         assert_equivalent(&a, &c, &format!("naive vs delta: {ctx}"));
-        assert_equivalent(&b, &c, &format!("fingerprint vs delta: {ctx}"));
         assert_equivalent(&clean, &c, &format!("clean vs incremental delta: {ctx}"));
         // Delta must never weave more than the naive toolchain.
         assert!(
@@ -363,8 +354,8 @@ fn assertion_retarget_invalidates_the_defining_unit_too() {
 
 /// A plain touch of a unit with no assertions under Delta re-weaves
 /// only that unit even though the merged `.tesla` text (with its
-/// provenance paths) is regenerated — the fingerprint mode's blind
-/// spot that per-unit keys fix.
+/// provenance paths) is regenerated, where a key over the whole
+/// manifest would re-weave every unit.
 #[test]
 fn touch_under_delta_reweaves_one_unit() {
     let states = vec![
