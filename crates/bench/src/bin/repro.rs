@@ -662,35 +662,60 @@ fn build_modes() {
 /// `ReinstrumentPolicy::Delta`) must re-instrument strictly fewer
 /// units than the corpus holds, and — since a touch appends only a
 /// comment, so no manifest changes — must reuse the kept weave plan
-/// without a single compile-cache lookup (DESIGN.md §10.5). Returns
-/// false — and `main` exits nonzero — if the build cache regresses to
-/// rebuilding the world or the early cutoff stops holding.
+/// without a single compile-cache lookup (DESIGN.md §10.5), and must
+/// link every other unit's assertions by pointer, sharing them with
+/// the clean build's program (DESIGN.md §10.4). Returns false — and
+/// `main` exits nonzero — if the build cache regresses to rebuilding
+/// the world, the early cutoff stops holding or the link copies
+/// assertions again.
 fn delta_smoke() -> bool {
     header("delta-smoke: §5.2.1 incremental rebuild under delta");
     let units = 20usize;
+    let touched = "subsys/unit1.c";
     let project = tesla::corpus::kernel_like(units, 85);
     let mut bs = BuildSystem::new(project, BuildOptions::delta_toolchain());
-    bs.build().expect("clean build");
+    let clean = bs.build().expect("clean build");
     let lookups = |bs: &BuildSystem| bs.compile_cache().hits() + bs.compile_cache().misses();
     let before = lookups(&bs);
-    bs.touch("subsys/unit1.c");
+    bs.touch(touched);
     let art = bs.build().expect("incremental build");
     let rebuild_lookups = lookups(&bs) - before;
     println!(
         "touched 1 of {units} units: recompiled {}, re-instrumented {}, compile-cache lookups {}",
         art.stats.compiled_units, art.stats.instrumented_units, rebuild_lookups
     );
+    let total = art.program.assertions.len();
+    let own = art
+        .manifest
+        .entries
+        .iter()
+        .filter(|e| e.source_file == touched)
+        .count();
+    let shared = clean
+        .program
+        .assertions
+        .iter()
+        .zip(&art.program.assertions)
+        .filter(|(a, b)| Arc::ptr_eq(&a.assertion, &b.assertion))
+        .count();
+    println!(
+        "linked assertions shared with the clean build: {shared} of {total} \
+         (the touched unit's own: {own})"
+    );
     let incremental = art.stats.instrumented_units < units && art.stats.instrumented_units > 0;
     let cut_off = rebuild_lookups == 0;
+    let sharing = total == clean.program.assertions.len() && shared == total - own;
     println!(
         "{}",
-        match (incremental, cut_off) {
-            (true, true) => "OK: delta rebuild stayed incremental and reused the weave plan",
-            (false, _) => "FAIL: delta rebuild re-instrumented the world",
-            (true, false) => "FAIL: a comment-only touch looked automata up again",
+        match (incremental, cut_off, sharing) {
+            (true, true, true) => "OK: delta rebuild stayed incremental and reused the weave plan",
+            (false, _, _) => "FAIL: delta rebuild re-instrumented the world",
+            (true, false, _) => "FAIL: a comment-only touch looked automata up again",
+            (true, true, false) =>
+                "FAIL: the rebuild copied assertions it should share with the clean build",
         }
     );
-    incremental && cut_off
+    incremental && cut_off && sharing
 }
 
 /// One governed chaos run: the lmbench poll workload on an MP+MS

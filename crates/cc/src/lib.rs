@@ -83,9 +83,10 @@ pub fn compile_unit(src: &str, file: &str) -> Result<UnitOutput, CompileError> {
     let mut unit = parser::parse_unit(src, file).map_err(CompileError::Parse)?;
     let info = sema::analyse(&mut unit).map_err(CompileError::Sema)?;
     let module = lower::lower_unit(&unit, &info).map_err(CompileError::Lower)?;
+    // The manifest owns its assertions; the module shares its own.
     let mut manifest = Manifest::new();
     for a in &module.assertions {
-        manifest.push(file, a.assertion.clone());
+        manifest.push(file, (*a.assertion).clone());
     }
     Ok(UnitOutput { module, manifest })
 }

@@ -10,6 +10,7 @@
 use crate::ast::{BinOp, CType, Expr, FunctionDef, LValue, Stmt, UnOp, Unit};
 use crate::sema::UnitInfo;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tesla_ir::{
     Block, BlockId, Callee, CmpOp, FieldRef, FuncId, Function, Inst, Module, Op, Reg, StructId,
     Terminator,
@@ -312,7 +313,7 @@ impl<'a> FnLower<'a> {
                 self.module
                     .assertions
                     .push(tesla_ir::module::ModuleAssertion {
-                        assertion: (**assertion).clone(),
+                        assertion: Arc::new((**assertion).clone()),
                     });
                 self.emit(Inst::TeslaPseudoAssert {
                     assertion: idx,

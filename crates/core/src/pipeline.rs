@@ -292,6 +292,11 @@ struct CachedUnit {
 struct Merged {
     /// The merged program manifest.
     manifest: Arc<Manifest>,
+    /// Delta only: for each unit file, the merged-manifest id and the
+    /// content fingerprint of each of the unit's own entries, in
+    /// manifest order — the third input of [`delta_key`], hashed once
+    /// per merge instead of once per unit per build.
+    own: HashMap<String, Vec<(u32, u64)>>,
     /// The Delta weave plan of `manifest`, with the elision set it was
     /// built for.
     plan: Option<(HashSet<u32>, Arc<WeavePlan>)>,
@@ -345,7 +350,9 @@ fn fingerprint(s: &str) -> u64 {
 ///    calls (caller side),
 /// 2. field targets matching a store in this unit,
 /// 3. the unit's own assertion sites: merged-manifest class id,
-///    assertion content, and elision verdict.
+///    assertion content fingerprint, and elision verdict. `own` holds
+///    the first two, read from the kept merge's per-unit index
+///    ([`Merged::own`]).
 ///
 /// Anything else provably cannot change the woven output of this unit
 /// (the soundness argument is spelled out in DESIGN.md §10), so a key
@@ -354,8 +361,7 @@ fn fingerprint(s: &str) -> u64 {
 fn delta_key(
     plan: &WeavePlan,
     touch: &UnitTouchSet,
-    manifest: &Manifest,
-    unit_file: &str,
+    own: &[(u32, u64)],
     elided: &HashSet<u32>,
 ) -> u64 {
     let mut h = Fnv64::new();
@@ -372,13 +378,10 @@ fn delta_key(
             h.write(target.1.as_bytes());
         }
     }
-    for (idx, entry) in manifest.entries.iter().enumerate() {
-        if entry.source_file == unit_file {
-            let id = u32::try_from(idx).expect("more than u32::MAX assertions");
-            h.write_u32(id);
-            h.write_u64(entry.content_fingerprint());
-            h.write(&[u8::from(elided.contains(&id))]);
-        }
+    for &(id, content) in own {
+        h.write_u32(id);
+        h.write_u64(content);
+        h.write(&[u8::from(elided.contains(&id))]);
     }
     h.finish()
 }
@@ -550,7 +553,7 @@ impl BuildSystem {
 
     /// The merged program manifest: the kept one while no unit's
     /// manifest changed, else a fresh merge of the per-unit manifests
-    /// (empty in default mode).
+    /// (empty in default mode), indexed by unit under Delta.
     fn merged_manifest(&mut self) -> Arc<Manifest> {
         if let Some(merged) = &self.merged {
             return Arc::clone(&merged.manifest);
@@ -566,9 +569,19 @@ impl BuildSystem {
         } else {
             Manifest::new()
         };
+        let mut own: HashMap<String, Vec<(u32, u64)>> = HashMap::new();
+        if self.delta() {
+            for (idx, entry) in manifest.entries.iter().enumerate() {
+                let id = u32::try_from(idx).expect("more than u32::MAX assertions");
+                own.entry(entry.source_file.clone())
+                    .or_default()
+                    .push((id, entry.content_fingerprint()));
+            }
+        }
         let manifest = Arc::new(manifest);
         self.merged = Some(Merged {
             manifest: Arc::clone(&manifest),
+            own,
             plan: None,
         });
         manifest
@@ -794,13 +807,19 @@ impl BuildSystem {
         stats: &mut BuildStats,
     ) -> Result<Vec<Arc<Module>>, BuildError> {
         let plan = self.delta_plan(elided)?;
+        let own_index = &self
+            .merged
+            .as_ref()
+            .expect("the merged manifest is built before the back-end")
+            .own;
 
         // Partition into cache hits and stale units.
         let mut modules: Vec<Option<Arc<Module>>> = vec![None; self.project.units.len()];
         let mut stale: Vec<(usize, String, u64, u64)> = Vec::new();
         for (idx, u) in self.project.units.iter().enumerate() {
             let unit = &self.unit_cache[&u.file];
-            let key = delta_key(&plan, &unit.touch, manifest, &u.file, elided);
+            let own = own_index.get(&u.file).map_or(&[][..], Vec::as_slice);
+            let key = delta_key(&plan, &unit.touch, own, elided);
             match self
                 .object_cache
                 .get(&u.file)
@@ -1217,6 +1236,40 @@ mod tests {
         assert_ne!(*touched.manifest, *edited.manifest);
         assert_eq!(bs.compile_cache().misses(), misses + 1);
         assert_eq!(lookups(&bs), before + 1);
+    }
+
+    /// A comment-only edit relinks the other units' assertions by
+    /// pointer: every linked assertion from an unchanged unit is the
+    /// clean build's own `Arc`, and only the edited unit's are fresh.
+    /// The naive toolchain round-trips every unit's IR, so it shares
+    /// none.
+    #[test]
+    fn comment_edit_relinks_unchanged_units_assertions_by_pointer() {
+        let edited = "subsys/unit3.c";
+        for (options, shares) in [
+            (BuildOptions::delta_toolchain(), true),
+            (BuildOptions::default_toolchain(), true),
+            (BuildOptions::tesla_toolchain(), false),
+        ] {
+            let mut bs = BuildSystem::new(crate::corpus::kernel_like(20, 85), options);
+            let clean = bs.build().unwrap();
+            bs.touch(edited);
+            let rebuilt = bs.build().unwrap();
+            let (before, after) = (&clean.program.assertions, &rebuilt.program.assertions);
+            assert_eq!(before.len(), 85);
+            assert_eq!(before, after);
+            let mut own = 0;
+            for (i, (b, a)) in before.iter().zip(after).enumerate() {
+                let same = Arc::ptr_eq(&b.assertion, &a.assertion);
+                if a.assertion.loc.file == edited {
+                    own += 1;
+                    assert!(!same, "{options:?}: edited unit's assertion {i} is shared");
+                } else {
+                    assert_eq!(same, shares, "{options:?}: assertion {i}");
+                }
+            }
+            assert!(own > 0, "the edited unit carries assertions");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::module::{
     Block, BlockId, Function, Inst, Module, ModuleAssertion, Reg, StructDef, StructId, Terminator,
 };
+use std::sync::Arc;
 
 /// Builds a [`Module`].
 #[derive(Debug)]
@@ -47,9 +48,9 @@ impl ModuleBuilder {
     /// Attach a TESLA assertion extracted by the front-end.
     pub fn add_assertion(&mut self, a: tesla_spec::Assertion) -> u32 {
         let id = self.module.assertions.len() as u32;
-        self.module
-            .assertions
-            .push(ModuleAssertion { assertion: a });
+        self.module.assertions.push(ModuleAssertion {
+            assertion: Arc::new(a),
+        });
         id
     }
 

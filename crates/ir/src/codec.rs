@@ -11,7 +11,8 @@
 //! one tag byte (its variant's index, in declaration order) followed
 //! by its fields in declaration order. An assertion is stored as its
 //! name, its location and its printed surface syntax, and read back
-//! through the spec parser, as `.tesla` manifests are.
+//! through the spec parser, as `.tesla` manifests are, into one fresh
+//! `Arc` per assertion.
 //!
 //! [`decode`] gives back the module [`encode`] was given. Truncated
 //! input, trailing bytes, an unknown tag, a varint past 64 bits, a
@@ -23,6 +24,7 @@ use crate::module::{
     Reg, StructDef, StructId, Terminator,
 };
 use std::fmt;
+use std::sync::Arc;
 use tesla_spec::{FieldOp, SourceLoc};
 
 const OPS: [Op; 10] = [
@@ -582,7 +584,9 @@ impl Reader<'_> {
         })?;
         assertion.name = name;
         assertion.loc = loc;
-        Ok(ModuleAssertion { assertion })
+        Ok(ModuleAssertion {
+            assertion: Arc::new(assertion),
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! TIR data structures: modules, functions, blocks, instructions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use tesla_spec::FieldOp;
 
 /// A virtual register within a function (the "infinite register
@@ -283,10 +284,19 @@ pub struct StructDef {
 /// The assertion table a front-end attaches to a module: the
 /// instrumenter resolves [`Inst::TeslaPseudoAssert`] indices against
 /// it.
+///
+/// The assertion is shared, not owned: the front end and [`decode`]
+/// make one `Arc` per assertion, and cloning a module or linking it
+/// ([`Module::link_refs`]) copies the pointer. So an incremental
+/// rebuild's link shares every unchanged unit's assertions with the
+/// previous build's program instead of copying them. Equality
+/// compares the assertions, not the pointers.
+///
+/// [`decode`]: crate::decode
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModuleAssertion {
     /// The parsed assertion.
-    pub assertion: tesla_spec::Assertion,
+    pub assertion: Arc<tesla_spec::Assertion>,
 }
 
 /// A TIR module (one compilation unit, or a linked program).
@@ -349,7 +359,9 @@ impl Module {
     /// hit copies a pointer instead of a module; linking therefore
     /// must not demand ownership. Each function is cloned once, into
     /// the output, and remapped there; one name index serves both the
-    /// duplicate check and the resolution of external calls.
+    /// duplicate check and the resolution of external calls. The
+    /// assertion table copies pointers: the linked program shares its
+    /// assertions with the modules it was linked from.
     ///
     /// # Errors
     ///
@@ -405,7 +417,7 @@ impl Module {
             fn_offset += m.functions.len() as u32;
             assert_offset += m.assertions.len() as u32;
         }
-        // Assertions concatenate.
+        // Assertions concatenate, by pointer.
         for m in modules {
             out.assertions.extend(m.assertions.iter().cloned());
         }

@@ -1,7 +1,16 @@
 //! Property tests: TIR modules survive the `.bc`-analogue codec
 //! round-trip unchanged (the pipeline depends on this for the §5.1 IR
-//! hand-offs), and no proper prefix of an encoding decodes.
+//! hand-offs), and no proper prefix of an encoding decodes. Module
+//! assertions come from the spec crate's assertion generator, so they
+//! reach the parser's depth bound and the ends of the constant types,
+//! with names and files in every character band.
 
+#[path = "../../spec/tests/support/assertion_gen.rs"]
+mod assertion_gen;
+
+use assertion_gen::{build, recipe, Reach};
+use std::cell::RefCell;
+use std::sync::Arc;
 use tesla_ir::module::{Block, FieldRef, Function, ModuleAssertion, StructDef};
 use tesla_ir::{
     decode, encode, BlockId, Callee, CmpOp, FuncId, Inst, Interp, Module, NullSink, Op, Reg,
@@ -97,18 +106,6 @@ const FIELD_OPS: [FieldOp; 5] = [
     FieldOp::OrAssign,
     FieldOp::AndAssign,
 ];
-/// Assertions whose printed forms cover every expression, event and
-/// pattern shape the printer writes.
-const ASSERTIONS: [&str; 6] = [
-    "TESLA_WITHIN(f, previously(g(ANY(ptr), x, &out, flags(0x80), bitmask(0x6)) == -1))",
-    "TESLA_GLOBAL(call(a), returnfrom(b), eventually(audit(x), call(c(0x8000000000000000))))",
-    "TESLA_WITHIN(f, strict(a() ^ b()) || optional(socket(so).so_qstate |= 5))",
-    "TESLA_SYSCALL(incallstack(ufs_readdir) || previously(callee(check(vp) == 0)))",
-    "TESLA_WITHIN(draw, previously(ATLEAST(2, [ANY(id) push], \
-     returnfrom([ANY(id) drawWithFrame: ANY(NSRect) inView: v]), caller(conditional(s.n += 1)))))",
-    "TESLA_PERTHREAD(call(a), returnfrom(a), TSEQUENCE(TESLA_ASSERTION_SITE, z(NULL)))",
-];
-
 fn text(g: &mut Gen) -> String {
     g.vec(0..6, Gen::char).into_iter().collect()
 }
@@ -233,14 +230,17 @@ fn term(g: &mut Gen) -> Terminator {
     }
 }
 
-fn assertion(g: &mut Gen) -> ModuleAssertion {
-    let mut assertion = tesla_spec::parse_assertion(ASSERTIONS[g.below(ASSERTIONS.len())]).unwrap();
-    assertion.name = text(g);
-    assertion.loc = SourceLoc {
-        file: text(g),
-        line: u32_any(g),
-    };
-    ModuleAssertion { assertion }
+/// A generated assertion with any name and location, or `None` where
+/// the builder refuses it (`assertion_codec_roundtrips` checks why).
+fn assertion(g: &mut Gen) -> Option<ModuleAssertion> {
+    let built = build(&recipe(g)).ok()?.ok();
+    let (name, file, line) = (text(g), text(g), u32_any(g));
+    let mut assertion = built?;
+    assertion.name = name;
+    assertion.loc = SourceLoc { file, line };
+    Some(ModuleAssertion {
+        assertion: Arc::new(assertion),
+    })
 }
 
 /// A module of any shape: it need not verify, only encode.
@@ -260,8 +260,64 @@ fn any_module(g: &mut Gen) -> Module {
                 term: term(g),
             }),
         }),
-        assertions: g.vec(0..3, assertion),
+        assertions: g.vec(0..3, assertion).into_iter().flatten().collect(),
     }
+}
+
+/// Which character bands and empty strings the names and files of
+/// `assertion_codec_roundtrips` met: C0, C1, astral, empty name, empty
+/// file.
+#[derive(Debug, Default)]
+struct TextReach([bool; 5]);
+
+impl TextReach {
+    fn note(&mut self, name: &str, file: &str) {
+        for c in name.chars().chain(file.chars()) {
+            let i = match u32::from(c) {
+                0..=0x1f => 0,
+                0x80..=0x9f => 1,
+                0x1_0000.. => 2,
+                _ => continue,
+            };
+            self.0[i] = true;
+        }
+        self.0[3] |= name.is_empty();
+        self.0[4] |= file.is_empty();
+    }
+}
+
+/// Every generated assertion either builds and survives the codec
+/// with any name and location, or is refused by the builder as too
+/// deep; the fixed seed meets every edge of the generator and every
+/// character band.
+#[test]
+fn assertion_codec_roundtrips() {
+    let reach = RefCell::new((Reach::default(), TextReach::default()));
+    check(
+        128,
+        SEED,
+        |g| (recipe(g), text(g), text(g), u32_any(g)),
+        |(r, name, file, line)| {
+            let built = build(&r)?;
+            let mut reach = reach.borrow_mut();
+            reach.0.note(&built);
+            reach.1.note(&name, &file);
+            let Ok(mut a) = built else { return Ok(()) };
+            a.name = name;
+            a.loc = SourceLoc { file, line };
+            let m = Module {
+                assertions: vec![ModuleAssertion {
+                    assertion: Arc::new(a),
+                }],
+                ..Module::default()
+            };
+            prop_assert_eq!(decode(&encode(&m)), Ok(m));
+            Ok(())
+        },
+    );
+    let (reach, text) = reach.into_inner();
+    reach.assert_complete();
+    assert_eq!(text.0, [true; 5], "C0, C1, astral, empty name, empty file");
 }
 
 #[test]

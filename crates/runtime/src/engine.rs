@@ -1210,8 +1210,9 @@ impl Tesla {
     /// popped after an exit's, so an `incallstack(f)` guard sees `f`
     /// during both of `f`'s own events.
     ///
-    /// A missing row is triaged per namespace: a field store checks
-    /// its struct id first, then its field id.
+    /// A field store checks its struct id first, whether or not its
+    /// field has a row; a missing row then checks the event's own id
+    /// in its namespace.
     ///
     /// The kind is a const parameter (`HookKind as usize`), so each
     /// kind has its own copy of the body with the kind folded in, for
@@ -1226,10 +1227,12 @@ impl Tesla {
         ev: EventValues<'_>,
     ) -> Result<(), Violation> {
         let kind = HookKind::ALL[KIND];
-        let Some(row) = snap.tables.rows[KIND].get(id.0 as usize) else {
+        if kind == HookKind::FieldStore {
             if let Some((struct_id, ..)) = ev.field {
                 self.check_known(struct_id, "struct")?;
             }
+        }
+        let Some(row) = snap.tables.rows[KIND].get(id.0 as usize) else {
             let what = match kind {
                 HookKind::FnEntry | HookKind::FnExit => "function",
                 HookKind::FieldStore => "field",

@@ -1259,11 +1259,20 @@ fn name_keyed_hooks_reject_ids_never_interned() {
         .build()
         .unwrap();
     t.register(compile(&a).unwrap()).unwrap();
+    // A watched field: its store has a row, so the struct id must be
+    // checked on the row path too.
+    let w = AssertionBuilder::within("main")
+        .named("watched")
+        .previously(field_assign("s", "fld").object_var("o").value_const(2u64))
+        .build()
+        .unwrap();
+    t.register(compile(&w).unwrap()).unwrap();
     let (main, strct) = (t.intern_fn("main"), t.intern_struct("s"));
+    let fld = t.intern_field("fld");
     let ghost = NameId(1_000_000);
     let args = [Value(1)];
     type Push = Box<dyn Fn(&mut BatchBuf)>;
-    let cases: [(&str, Result<(), Violation>, Push); 6] = [
+    let cases: [(&str, Result<(), Violation>, Push); 7] = [
         (
             "function",
             t.fn_entry(ghost, &args),
@@ -1280,6 +1289,11 @@ fn name_keyed_hooks_reject_ids_never_interned() {
             Box::new(move |b| {
                 b.push_field_store(ghost, ghost, Value(1), FieldOp::Assign, Value(2))
             }),
+        ),
+        (
+            "struct",
+            t.field_store(ghost, fld, Value(1), FieldOp::Assign, Value(2)),
+            Box::new(move |b| b.push_field_store(ghost, fld, Value(1), FieldOp::Assign, Value(2))),
         ),
         (
             "field",

@@ -13,8 +13,10 @@
 //! `TESLA_BLESS=1 cargo test -p tesla-sim-kernel --test golden_counters`
 //! and review the diff.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations_during;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tesla_automata::compile;
@@ -25,46 +27,6 @@ use tesla_sim_kernel::mac::MacFramework;
 use tesla_sim_kernel::types::{oflags, Fd, Pid};
 use tesla_sim_kernel::{Bugs, Kernel, KernelConfig};
 use tesla_spec::{call, AssertionBuilder, ExprBuilder};
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    // `try_with`: the allocator also runs while thread-locals are
-    // being torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// so `System`'s guarantees are the caller's. The counting itself
-// touches only a const-initialised thread-local `Cell`, which never
-// allocates and never unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn check_golden(name: &str, actual: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -210,9 +172,9 @@ fn registration_allocations(telemetry: bool) -> u64 {
         telemetry,
         ..Config::default()
     });
-    let before = ALLOCS.with(Cell::get);
-    t.register_batch(automata).unwrap();
-    ALLOCS.with(Cell::get) - before
+    allocations_during(|| {
+        t.register_batch(automata).unwrap();
+    })
 }
 
 /// A telemetered registration reuses each class's runtime DFA for its

@@ -1,233 +1,23 @@
 //! Property tests: every assertion the builder can construct prints
 //! to surface syntax that re-parses to the identical assertion
-//! (expression tree, variable table, bounds, context).
+//! (expression tree, variable table, bounds, context), from shallow
+//! trees to spines at the parser's depth bound and constants at the
+//! ends of their types; one nested past that bound is refused by the
+//! builder instead.
 
-use tesla_prop::{check, prop_assert, prop_assert_eq, Gen};
-use tesla_spec::{
-    call, field_assign, msg_send, parse_assertion, AssertionBuilder, ExprBuilder, FieldOp,
+#[path = "support/assertion_gen.rs"]
+mod assertion_gen;
+
+use assertion_gen::{
+    build, build_expr, build_previously, expr_gen, recipe, EventRecipe, ExprRecipe, Reach,
 };
+use std::cell::RefCell;
+use tesla_prop::{check, prop_assert, prop_assert_eq};
+use tesla_spec::{parse_assertion, Assertion, AssertionBuilder};
 
 const SEED: u64 = 0x5bec;
 
-const VARS: [&str; 4] = ["vp", "so", "cred", "op_arg"];
-const FNS: [&str; 5] = [
-    "mac_check",
-    "vn_rdwr",
-    "security_check",
-    "audit_event",
-    "EVP_VerifyFinal",
-];
-const SELS: [&str; 3] = ["push", "pop", "drawWithFrame:inView:"];
-const STRUCTS: [&str; 2] = ["socket", "proc"];
-const FIELDS: [&str; 2] = ["so_qstate", "p_flag"];
-
-/// A recipe for one event (kept as data so a failing input prints).
-#[derive(Debug, Clone)]
-enum EventRecipe {
-    Call {
-        f: usize,
-        args: Vec<ArgRecipe>,
-        ret: Option<RetRecipe>,
-        entry: bool,
-    },
-    Msg {
-        s: usize,
-        n_args: usize,
-    },
-    Field {
-        st: usize,
-        fi: usize,
-        var: usize,
-        op: u8,
-        value: i64,
-    },
-}
-
-#[derive(Debug, Clone)]
-enum ArgRecipe {
-    Any,
-    Const(i64),
-    Var(usize),
-    Flags(u64),
-    Bitmask(u64),
-    Out(usize),
-}
-
-#[derive(Debug, Clone)]
-enum RetRecipe {
-    Const(i64),
-    Var(usize),
-}
-
-#[derive(Debug, Clone)]
-enum ExprRecipe {
-    Event(EventRecipe),
-    Or(Vec<ExprRecipe>),
-    Xor(Vec<ExprRecipe>),
-    Seq(Vec<ExprRecipe>),
-    AtLeast(usize, Vec<ExprRecipe>),
-    Optional(Box<ExprRecipe>),
-    Strict(Box<ExprRecipe>),
-    Caller(Box<ExprRecipe>),
-}
-
-fn arg_strategy(g: &mut Gen) -> ArgRecipe {
-    match g.below(6) {
-        0 => ArgRecipe::Any,
-        1 => ArgRecipe::Const(g.range(-4i64..100)),
-        2 => ArgRecipe::Var(g.range(0..VARS.len())),
-        3 => ArgRecipe::Flags(g.range(1u64..0xffff)),
-        4 => ArgRecipe::Bitmask(g.range(1u64..0xffff)),
-        _ => ArgRecipe::Out(g.range(0..VARS.len())),
-    }
-}
-
-fn event_strategy(g: &mut Gen) -> EventRecipe {
-    match g.below(3) {
-        0 => EventRecipe::Call {
-            f: g.range(0..FNS.len()),
-            args: g.vec(0..3, arg_strategy),
-            ret: g.option(|g| match g.below(2) {
-                0 => RetRecipe::Const(g.range(-2i64..5)),
-                _ => RetRecipe::Var(g.range(0..VARS.len())),
-            }),
-            entry: g.bool(),
-        },
-        1 => EventRecipe::Msg {
-            s: g.range(0..SELS.len()),
-            n_args: g.range(0usize..3),
-        },
-        _ => EventRecipe::Field {
-            st: g.range(0..STRUCTS.len()),
-            fi: g.range(0..FIELDS.len()),
-            var: g.range(0..VARS.len()),
-            op: g.range(0u8..5),
-            value: g.range(0i64..64),
-        },
-    }
-}
-
-/// An expression at most `depth` combinators deep.
-fn expr_gen(g: &mut Gen, depth: u32) -> ExprRecipe {
-    if depth == 0 || !g.bool() {
-        return ExprRecipe::Event(event_strategy(g));
-    }
-    let inner = |g: &mut Gen| expr_gen(g, depth - 1);
-    match g.below(7) {
-        0 => ExprRecipe::Or(g.vec(2..4, inner)),
-        1 => ExprRecipe::Xor(g.vec(2..4, inner)),
-        2 => ExprRecipe::Seq(g.vec(2..4, inner)),
-        3 => ExprRecipe::AtLeast(g.range(0usize..3), g.vec(1..3, inner)),
-        4 => ExprRecipe::Optional(Box::new(inner(g))),
-        5 => ExprRecipe::Strict(Box::new(inner(g))),
-        _ => ExprRecipe::Caller(Box::new(inner(g))),
-    }
-}
-
-fn expr_strategy(g: &mut Gen) -> ExprRecipe {
-    expr_gen(g, 3)
-}
-
-fn build_event(r: &EventRecipe) -> ExprBuilder {
-    match r {
-        EventRecipe::Call {
-            f,
-            args,
-            ret,
-            entry,
-        } => {
-            let mut c = call(FNS[*f]);
-            for a in args {
-                c = match a {
-                    ArgRecipe::Any => c.any_ptr(),
-                    ArgRecipe::Const(v) => c.arg_const(*v),
-                    ArgRecipe::Var(i) => c.arg_var(VARS[*i]),
-                    ArgRecipe::Flags(b) => c.arg_flags(*b),
-                    ArgRecipe::Bitmask(b) => c.arg_bitmask(*b),
-                    ArgRecipe::Out(i) => c.arg_out(VARS[*i]),
-                };
-            }
-            match (ret, entry) {
-                (Some(RetRecipe::Const(v)), _) => c.returns(*v).into(),
-                (Some(RetRecipe::Var(i)), _) => c.returns_var(VARS[*i]).into(),
-                (None, true) => c.entry().into(),
-                (None, false) => c.into(),
-            }
-        }
-        EventRecipe::Msg { s, n_args } => {
-            let sel = SELS[*s];
-            // Argument count must match the selector's colon count for
-            // the printed form to re-parse.
-            let colons = sel.matches(':').count();
-            let mut m = msg_send(sel);
-            for _ in 0..(*n_args).min(colons) {
-                m = m.any("id");
-            }
-            m.into()
-        }
-        EventRecipe::Field {
-            st,
-            fi,
-            var,
-            op,
-            value,
-        } => {
-            let op = match op {
-                0 => FieldOp::Assign,
-                1 => FieldOp::AddAssign,
-                2 => FieldOp::SubAssign,
-                3 => FieldOp::OrAssign,
-                _ => FieldOp::AndAssign,
-            };
-            field_assign(STRUCTS[*st], FIELDS[*fi])
-                .object_var(VARS[*var])
-                .op(op)
-                .value_const(*value)
-                .into()
-        }
-    }
-}
-
-fn build_expr(r: &ExprRecipe) -> ExprBuilder {
-    match r {
-        ExprRecipe::Event(e) => build_event(e),
-        ExprRecipe::Or(es) => {
-            let mut it = es.iter();
-            let mut out = build_expr(it.next().unwrap());
-            for e in it {
-                out = out.or(build_expr(e));
-            }
-            out
-        }
-        ExprRecipe::Xor(es) => {
-            let mut it = es.iter();
-            let mut out = build_expr(it.next().unwrap());
-            for e in it {
-                out = out.xor(build_expr(e));
-            }
-            out
-        }
-        ExprRecipe::Seq(es) => {
-            let mut it = es.iter();
-            let mut out = build_expr(it.next().unwrap());
-            for e in it {
-                out = out.then(build_expr(e));
-            }
-            out
-        }
-        ExprRecipe::AtLeast(n, es) => tesla_spec::atleast(*n, es.iter().map(build_expr).collect()),
-        ExprRecipe::Optional(e) => build_expr(e).optional(),
-        ExprRecipe::Strict(e) => build_expr(e).strict(),
-        ExprRecipe::Caller(e) => build_expr(e).caller(),
-    }
-}
-
-fn print_parse_roundtrips(recipe: &ExprRecipe, global: bool) -> Result<(), String> {
-    let mut b = AssertionBuilder::within("enclosing_fn").named("prop");
-    if global {
-        b = b.global();
-    }
-    let a = b.previously(build_expr(recipe)).build().unwrap();
+fn print_parse_roundtrips(a: &Assertion) -> Result<(), String> {
     let printed = a.to_string();
     let back =
         parse_assertion(&printed).unwrap_or_else(|e| panic!("re-parse of `{printed}` failed: {e}"));
@@ -240,12 +30,16 @@ fn print_parse_roundtrips(recipe: &ExprRecipe, global: bool) -> Result<(), Strin
 
 #[test]
 fn print_parse_roundtrip() {
-    check(
-        256,
-        SEED,
-        |g| (expr_strategy(g), g.bool()),
-        |(recipe, global)| print_parse_roundtrips(&recipe, global),
-    );
+    let reach = RefCell::new(Reach::default());
+    check(256, SEED, recipe, |r| {
+        let built = build(&r)?;
+        reach.borrow_mut().note(&built);
+        match built {
+            Ok(a) => print_parse_roundtrips(&a),
+            Err(_) => Ok(()),
+        }
+    });
+    reach.into_inner().assert_complete();
 }
 
 /// A failure `print_parse_roundtrip` once found and shrank: an `||`
@@ -261,7 +55,7 @@ fn print_parse_roundtrip_or_of_call_and_msg() {
         }),
         ExprRecipe::Event(EventRecipe::Msg { s: 2, n_args: 0 }),
     ]);
-    print_parse_roundtrips(&recipe, false).unwrap();
+    print_parse_roundtrips(&build_previously(build_expr(&recipe), false).unwrap()).unwrap();
 }
 
 /// Every builder-produced assertion validates and (state-cap
@@ -269,18 +63,23 @@ fn print_parse_roundtrip_or_of_call_and_msg() {
 /// reference only declared variables.
 #[test]
 fn built_assertions_validate() {
-    check(256, SEED, expr_strategy, |recipe| {
-        let a = AssertionBuilder::within("f")
-            .previously(build_expr(&recipe))
-            .build()
-            .unwrap();
-        prop_assert!(a.validate().is_ok());
-        let n_vars = a.variables.len();
-        a.expr.for_each_event(&mut |e| {
-            for v in e.referenced_vars() {
-                assert!(v < n_vars, "variable index {v} out of range {n_vars}");
-            }
-        });
-        Ok(())
-    });
+    check(
+        256,
+        SEED,
+        |g| expr_gen(g, 3),
+        |recipe| {
+            let a = AssertionBuilder::within("f")
+                .previously(build_expr(&recipe))
+                .build()
+                .unwrap();
+            prop_assert!(a.validate().is_ok());
+            let n_vars = a.variables.len();
+            a.expr.for_each_event(&mut |e| {
+                for v in e.referenced_vars() {
+                    assert!(v < n_vars, "variable index {v} out of range {n_vars}");
+                }
+            });
+            Ok(())
+        },
+    );
 }

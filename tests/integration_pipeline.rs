@@ -296,7 +296,9 @@ fn deep_assertions_are_refused_where_they_are_built() {
                     );
                     let module = tesla_ir::Module {
                         name: "deep.c".into(),
-                        assertions: vec![tesla_ir::module::ModuleAssertion { assertion: a }],
+                        assertions: vec![tesla_ir::module::ModuleAssertion {
+                            assertion: std::sync::Arc::new(a),
+                        }],
                         ..tesla_ir::Module::default()
                     };
                     let back = tesla_ir::decode(&tesla_ir::encode(&module));
