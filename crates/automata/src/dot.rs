@@ -4,8 +4,9 @@
 //! automata descriptions, producing weighted graphs … the programmer
 //! can visually inspect the portions of the state graph that are
 //! executed in practice, as well as their relative frequencies"
-//! (§4.4.2). The weight source is `tesla-runtime`'s counting handler;
-//! this module only needs a `(state, symbol) → count` lookup.
+//! (§4.4.2). The weight source is the class record of `tesla-runtime`'s
+//! metrics registry; this module only needs a `(state, symbol) →
+//! count` lookup.
 
 use crate::automaton::Automaton;
 use crate::dfa::Dfa;

@@ -16,9 +16,7 @@
 //! fig. 10).
 
 use crate::automaton::{compile, Automaton};
-use crate::symbol::InstrSide;
 use crate::CompileError;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use tesla_spec::Assertion;
 
@@ -156,34 +154,6 @@ impl Manifest {
             .map(|e| compile(&e.assertion).map_err(|err| (e.assertion.name.clone(), err)))
             .collect()
     }
-
-    /// The program-wide instrumentation plan: which functions need
-    /// hooks, on which side, according to *all* assertions. This is
-    /// the set the instrumenter consults for every IR file — the
-    /// reason one assertion edit re-instruments the world.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors as in [`Manifest::compile_all`].
-    pub fn instrumentation_plan(
-        &self,
-    ) -> Result<BTreeMap<String, InstrSide>, (String, CompileError)> {
-        let mut plan = BTreeMap::new();
-        for a in self.compile_all()? {
-            for (name, side) in a.instrumentation_targets() {
-                // Caller-side requests win: they are needed when the
-                // callee cannot be recompiled.
-                plan.entry(name)
-                    .and_modify(|s| {
-                        if side == InstrSide::Caller {
-                            *s = InstrSide::Caller;
-                        }
-                    })
-                    .or_insert(side);
-            }
-        }
-        Ok(plan)
-    }
 }
 
 #[cfg(test)]
@@ -226,27 +196,14 @@ mod tests {
         m.push("kern.c", sample());
         let autos = m.compile_all().unwrap();
         assert_eq!(autos.len(), 1);
-        let plan = m.instrumentation_plan().unwrap();
-        assert!(plan.contains_key("mac_socket_check_poll"));
-        assert!(plan.contains_key("amd64_syscall"));
-    }
-
-    #[test]
-    fn caller_side_wins_in_plan() {
-        use tesla_spec::ExprBuilder;
-        let callee = AssertionBuilder::within("main")
-            .previously(call("EVP_VerifyFinal").returns(1))
-            .build()
-            .unwrap();
-        let caller = AssertionBuilder::within("main")
-            .previously(ExprBuilder::from(call("EVP_VerifyFinal").returns(1)).caller())
-            .build()
-            .unwrap();
-        let mut m = Manifest::new();
-        m.push("a.c", callee);
-        m.push("b.c", caller);
-        let plan = m.instrumentation_plan().unwrap();
-        assert_eq!(plan["EVP_VerifyFinal"], InstrSide::Caller);
+        // The functions the weave plan hooks for this assertion.
+        let targets: Vec<String> = autos[0]
+            .instrumentation_targets()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert!(targets.iter().any(|n| n == "mac_socket_check_poll"));
+        assert!(targets.iter().any(|n| n == "amd64_syscall"));
     }
 
     /// The `mac_socket_check_poll(ANY(ptr), so) == 0` event of

@@ -131,10 +131,11 @@ fn fig9() {
         .enumerate()
         .find(|(_, d)| d.automaton.name == "socket/poll")
         .expect("class registered");
-    let weights = registry
-        .weight_source(idx as u32)
-        .expect("weights for the registered class");
-    let dot = tesla::automata::dot::render(&def.automaton, &*weights);
+    let class = registry
+        .class(idx as u32)
+        .expect("a record for the registered class");
+    let weights = class.weights().expect("weights for the registered class");
+    let dot = tesla::automata::dot::render(&def.automaton, weights);
     let _ = std::fs::create_dir_all("target");
     let path = "target/fig9.dot";
     std::fs::write(path, &dot).expect("write dot");

@@ -42,6 +42,7 @@
 //!                                     coverage-guided fuzzing over the scenario corpus
 //! ```
 
+use std::collections::HashSet;
 use std::process::ExitCode;
 use std::sync::Arc;
 use tesla::pipeline::{
@@ -296,6 +297,31 @@ fn graph(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `a` as an operand (a path or name): a verb refuses a flag it does
+/// not know rather than take it for one.
+fn operand(a: &str) -> Result<String, String> {
+    if a.starts_with("--") {
+        return Err(format!("unknown flag `{a}`"));
+    }
+    Ok(a.to_string())
+}
+
+/// The fault plan of `run` and `observe`: `--chaos SEED`, with the
+/// `--faults` spec when given and the full menu otherwise.
+fn fault_plan(chaos: Option<u64>, faults: Option<&str>) -> Result<Option<Arc<FaultPlan>>, String> {
+    match chaos {
+        Some(seed) => {
+            let spec = match faults {
+                Some(s) => s.parse::<FaultSpec>()?,
+                None => FaultSpec::default_chaos(),
+            };
+            Ok(Some(Arc::new(FaultPlan::new(seed, spec))))
+        }
+        None if faults.is_some() => Err("--faults needs --chaos <seed> to schedule against".into()),
+        None => Ok(None),
+    }
+}
+
 fn load_project(files: &[String]) -> Result<Project, String> {
     if files.is_empty() {
         return Err("no source files given".into());
@@ -314,7 +340,11 @@ fn load_project(files: &[String]) -> Result<Project, String> {
 }
 
 fn analyse(rest: &[String]) -> Result<(), String> {
-    let project = load_project(rest)?;
+    let files = rest
+        .iter()
+        .map(|a| operand(a))
+        .collect::<Result<Vec<_>, _>>()?;
+    let project = load_project(&files)?;
     let mut manifests = Vec::new();
     for u in &project.units {
         let out = tesla::cc::compile_unit(&u.source, &u.file).map_err(|e| e.to_string())?;
@@ -322,13 +352,12 @@ fn analyse(rest: &[String]) -> Result<(), String> {
     }
     let merged = tesla::automata::Manifest::merge(&manifests);
     print!("{}", tesla::manifest::to_tesla(&merged));
+    let automata = merged.compile_all().map_err(|(n, e)| format!("{n}: {e}"))?;
     eprintln!(
         "({} assertions across {} units; instrumentation plan: {:?})",
         merged.entries.len(),
         project.units.len(),
-        merged
-            .instrumentation_plan()
-            .map_err(|(n, e)| format!("{n}: {e}"))?
+        tesla::instrument::weave_plan(&automata, &HashSet::new()).functions
     );
     Ok(())
 }
@@ -356,7 +385,7 @@ fn parse_diag_flags(
             }
             f => match f.strip_prefix("--format=") {
                 Some(v) => format = v.parse()?,
-                None => files.push(f.to_string()),
+                None => files.push(operand(f)?),
             },
         }
     }
@@ -465,7 +494,7 @@ fn build(rest: &[String]) -> Result<(), CliError> {
                 Some(v) => policy = parse_reinstrument(v)?,
                 None => match f.strip_prefix("--jobs=") {
                     Some(v) => jobs = v.parse().map_err(|e| format!("bad --jobs: {e}"))?,
-                    None => files.push(f.to_string()),
+                    None => files.push(operand(f)?),
                 },
             },
         }
@@ -552,25 +581,13 @@ fn run(rest: &[String]) -> Result<(), String> {
                 violations_out = Some(it.next().ok_or("--violations needs a path")?.clone())
             }
             "--metrics" => metrics_out = Some(it.next().ok_or("--metrics needs a path")?.clone()),
-            f => files.push(f.to_string()),
+            f => files.push(operand(f)?),
         }
     }
     if allow_shed && govern.is_none() {
         return Err("--allow-shed needs --govern <slo>".into());
     }
-    let plan = match chaos {
-        Some(seed) => {
-            let spec = match &fault_arg {
-                Some(s) => s.parse::<FaultSpec>()?,
-                None => FaultSpec::default_chaos(),
-            };
-            Some(Arc::new(FaultPlan::new(seed, spec)))
-        }
-        None if fault_arg.is_some() => {
-            return Err("--faults needs --chaos <seed> to schedule against".into())
-        }
-        None => None,
-    };
+    let plan = fault_plan(chaos, fault_arg.as_deref())?;
     let project = load_project(&files)?;
     let mut bs = BuildSystem::new(project, BuildOptions::tesla_toolchain());
     let art = bs.build().map_err(|e| e.to_string())?;
@@ -758,9 +775,13 @@ fn replay(rest: &[String]) -> Result<(), String> {
             }
             "--metrics" => metrics_out = Some(it.next().ok_or("--metrics needs a path")?.clone()),
             "--batch-size" => batch_size = Some(parse_batch_size(it.next())?),
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
-            f if trace.is_none() => trace = Some(f.to_string()),
-            f => return Err(format!("unexpected argument `{f}` (specs go via --spec)")),
+            f => {
+                let f = operand(f)?;
+                if trace.is_some() {
+                    return Err(format!("unexpected argument `{f}` (specs go via --spec)"));
+                }
+                trace = Some(f);
+            }
         }
     }
     let trace = trace.ok_or("replay needs a trace file")?;
@@ -811,9 +832,13 @@ fn attach(rest: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("bad --conns: {e}"))?,
                 )
             }
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
-            f if socket.is_none() => socket = Some(f.to_string()),
-            f => return Err(format!("unexpected argument `{f}` (specs go via --spec)")),
+            f => {
+                let f = operand(f)?;
+                if socket.is_some() {
+                    return Err(format!("unexpected argument `{f}` (specs go via --spec)"));
+                }
+                socket = Some(f);
+            }
         }
     }
     let socket = socket.ok_or("attach needs a socket path")?;
@@ -850,8 +875,9 @@ fn weighted_graphs(engine: &Tesla) -> String {
     use tesla::automata::dot;
     let mut out = String::new();
     for (i, def) in engine.class_defs().iter().enumerate() {
-        match engine.metrics().weight_source(i as u32) {
-            Some(w) => out.push_str(&dot::render(&def.automaton, &*w)),
+        let class = engine.metrics().class(i as u32);
+        match class.as_deref().and_then(|c| c.weights()) {
+            Some(w) => out.push_str(&dot::render(&def.automaton, w)),
             None => out.push_str(&dot::render(&def.automaton, &dot::Unweighted)),
         }
     }
@@ -905,7 +931,7 @@ fn observe(rest: &[String]) -> Result<(), CliError> {
             "--faults" => fault_arg = Some(it.next().ok_or("--faults needs a spec")?.clone()),
             f => match f.strip_prefix("--format=") {
                 Some(v) => format = Some(v.to_string()),
-                None => files.push(f.to_string()),
+                None => files.push(operand(f)?),
             },
         }
     }
@@ -939,19 +965,7 @@ fn observe(rest: &[String]) -> Result<(), CliError> {
         Some(p) => Some(Baseline::load(std::path::Path::new(p))?),
         None => None,
     };
-    let plan = match chaos {
-        Some(seed) => {
-            let spec = match &fault_arg {
-                Some(s) => s.parse::<FaultSpec>()?,
-                None => FaultSpec::default_chaos(),
-            };
-            Some(Arc::new(FaultPlan::new(seed, spec)))
-        }
-        None if fault_arg.is_some() => {
-            return Err("--faults needs --chaos <seed> to schedule against".into())
-        }
-        None => None,
-    };
+    let plan = fault_plan(chaos, fault_arg.as_deref())?;
     let project = load_project(&files)?;
     let mut bs = BuildSystem::new(project, BuildOptions::tesla_toolchain());
     let art = bs.build().map_err(|e| e.to_string())?;
@@ -1055,7 +1069,7 @@ fn baseline_cmd(rest: &[String]) -> Result<(), String> {
             "--from-trace" => {
                 from_trace = Some(it.next().ok_or("--from-trace needs a trace file")?.clone())
             }
-            f => files.push(f.to_string()),
+            f => files.push(operand(f)?),
         }
     }
     let project = load_project(&files)?;
@@ -1124,12 +1138,13 @@ fn scenario_run(rest: &[String]) -> Result<(), CliError> {
                 out_path = Some(it.next().ok_or("--out needs a file path")?.clone());
             }
             p => {
+                let p = operand(p)?;
                 if path.is_some() {
                     return Err(CliError::Usage(format!(
                         "scenario run takes one path, got a second: `{p}`"
                     )));
                 }
-                path = Some(p.to_string());
+                path = Some(p);
             }
         }
     }
@@ -1200,10 +1215,11 @@ fn scenario_fuzz(rest: &[String]) -> Result<(), String> {
                 out_dir = Some(it.next().ok_or("--out needs a directory")?.clone());
             }
             p => {
+                let p = operand(p)?;
                 if path.is_some() {
                     return Err(format!("scenario fuzz takes one corpus dir, got `{p}`"));
                 }
-                path = Some(p.to_string());
+                path = Some(p);
             }
         }
     }

@@ -96,6 +96,58 @@ fn usage_and_io_errors_exit_two() {
     );
 }
 
+/// Every verb refuses a flag it does not know, before it does any
+/// work, wherever the flag stands: no verb takes it for an input path.
+#[test]
+fn every_verb_refuses_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("tesla-unknown-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("empty.jsonl").to_str().unwrap().to_string();
+    std::fs::write(&trace, "{\"tesla_trace\":1}\n").unwrap();
+    let socket = dir.join("attach.sock").to_str().unwrap().to_string();
+    let safe = example("safe.c");
+    let scenarios = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios")
+        .to_str()
+        .expect("utf-8 path")
+        .to_string();
+    let run = [
+        safe.as_str(),
+        "--entry",
+        "ssl_main",
+        "--arg",
+        "5",
+        "--arg",
+        "5",
+    ];
+    let mut verbs: Vec<(&[&str], Vec<&str>)> = vec![
+        (&["build"], vec![&safe]),
+        (&["run"], run.to_vec()),
+        (&["observe"], run.to_vec()),
+        (&["baseline"], run.to_vec()),
+        (&["static-check"], vec![&safe]),
+        (&["lint"], vec![&safe]),
+        (&["analyse"], vec![&safe]),
+        (&["scenario", "run"], vec![&scenarios]),
+        (&["scenario", "fuzz"], vec![&scenarios]),
+        (&["replay"], vec![&trace, "--spec", &safe]),
+    ];
+    if cfg!(unix) {
+        verbs.push((&["attach"], vec![&socket, "--spec", &safe]));
+    }
+    for (verb, operands) in &verbs {
+        let first = [*verb, &["--no-such-flag"], operands].concat();
+        let last = [*verb, operands, &["--no-such-flag"]].concat();
+        for args in [first, last] {
+            let out = tesla(&args);
+            assert_exit(&out, 2);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(stderr, "tesla: unknown flag `--no-such-flag`\n", "{args:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn static_check_deny_contract_matches_lint() {
     // The buggy CVE corpus has a definite violation: exit 1 under

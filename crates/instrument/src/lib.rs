@@ -149,8 +149,8 @@ pub fn instrument_with_elision(
 /// invalidation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeavePlan {
-    /// Function name → instrumentation side, merged caller-wins
-    /// exactly as [`Manifest::instrumentation_plan`] does.
+    /// Function name → instrumentation side. Caller-side requests
+    /// win: they are needed when the callee cannot be recompiled.
     pub functions: BTreeMap<String, InstrSide>,
     /// Field events referenced by any live automaton:
     /// `(struct name or "", field name)`.
@@ -194,6 +194,31 @@ pub fn weave_plan<A: Borrow<Automaton>>(automata: &[A], elided: &HashSet<u32>) -
     plan
 }
 
+/// The runtime class id of each of `module`'s assertion sites: the
+/// index of its entry in `manifest`, matched by name and source
+/// location.
+///
+/// # Errors
+///
+/// The name of the first assertion with no manifest entry (a stale
+/// manifest).
+pub(crate) fn class_ids(module: &Module, manifest: &Manifest) -> Result<Vec<u32>, String> {
+    module
+        .assertions
+        .iter()
+        .map(|a| {
+            manifest
+                .entries
+                .iter()
+                .position(|e| {
+                    e.assertion.name == a.assertion.name && e.assertion.loc == a.assertion.loc
+                })
+                .map(|idx| idx as u32)
+                .ok_or_else(|| a.assertion.name.clone())
+        })
+        .collect()
+}
+
 /// [`instrument_with_elision`] against an **already built**
 /// [`WeavePlan`] — the §7 optimised toolchain's entry point. The naive
 /// workflow re-parses the merged `.tesla` description and recompiles
@@ -222,19 +247,8 @@ pub fn instrument_precompiled(
     } = plan;
 
     // Assertion index → runtime class id, by manifest identity.
-    let mut class_of: Vec<u32> = Vec::with_capacity(module.assertions.len());
-    for a in &module.assertions {
-        let idx = manifest
-            .entries
-            .iter()
-            .position(|e| {
-                e.assertion.name == a.assertion.name && e.assertion.loc == a.assertion.loc
-            })
-            .ok_or_else(|| InstrumentError::StaleManifest {
-                assertion: a.assertion.name.clone(),
-            })?;
-        class_of.push(idx as u32);
-    }
+    let class_of = class_ids(module, manifest)
+        .map_err(|assertion| InstrumentError::StaleManifest { assertion })?;
 
     let hooked = |name: &str, side: InstrSide| plan.get(name) == Some(&side);
 
@@ -637,6 +651,25 @@ mod tests {
         let out = tesla_cc::compile_unit(src, "kern.c").unwrap();
         let manifest = Manifest::merge(&[out.manifest]);
         (out.module, manifest)
+    }
+
+    #[test]
+    fn caller_side_wins_in_plan() {
+        use tesla_spec::{call, AssertionBuilder, ExprBuilder};
+        let callee = AssertionBuilder::within("main")
+            .previously(call("EVP_VerifyFinal").returns(1))
+            .build()
+            .unwrap();
+        let caller = AssertionBuilder::within("main")
+            .previously(ExprBuilder::from(call("EVP_VerifyFinal").returns(1)).caller())
+            .build()
+            .unwrap();
+        let mut m = Manifest::new();
+        m.push("a.c", callee);
+        m.push("b.c", caller);
+        let automata = m.compile_all().unwrap();
+        let plan = weave_plan(&automata, &HashSet::new());
+        assert_eq!(plan.functions["EVP_VerifyFinal"], InstrSide::Caller);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! zero, `Unreachable`) end a path safely, exactly as the interpreter
 //! halts before any further events.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use tesla_automata::{
     Automaton, Direction, Guard, InstrSide, Manifest, StateSet, SymbolId, SymbolKind,
 };
@@ -128,20 +128,9 @@ pub fn model_check(module: &Module, manifest: &Manifest) -> Result<Vec<Assertion
     let automata = manifest
         .compile_all()
         .map_err(|(n, e)| format!("{n}: {e}"))?;
-    let plan = manifest
-        .instrumentation_plan()
-        .map_err(|(n, e)| format!("{n}: {e}"))?;
-    let mut class_of: Vec<u32> = Vec::with_capacity(module.assertions.len());
-    for a in &module.assertions {
-        let idx = manifest
-            .entries
-            .iter()
-            .position(|e| {
-                e.assertion.name == a.assertion.name && e.assertion.loc == a.assertion.loc
-            })
-            .ok_or_else(|| format!("assertion `{}` not in manifest (stale)", a.assertion.name))?;
-        class_of.push(idx as u32);
-    }
+    let plan = crate::weave_plan(&automata, &HashSet::new()).functions;
+    let class_of = crate::class_ids(module, manifest)
+        .map_err(|name| format!("assertion `{name}` not in manifest (stale)"))?;
     let cg = CallGraph::new(module);
     let mut reports = Vec::with_capacity(automata.len());
     for (i, auto) in automata.iter().enumerate() {

@@ -47,13 +47,6 @@ const CMP_OPS: [CmpOp; 6] = [
     CmpOp::Gt,
     CmpOp::Ge,
 ];
-const FIELD_OPS: [FieldOp; 5] = [
-    FieldOp::Assign,
-    FieldOp::AddAssign,
-    FieldOp::SubAssign,
-    FieldOp::OrAssign,
-    FieldOp::AndAssign,
-];
 
 /// Why [`decode`] rejected its input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,7 +265,7 @@ impl Writer {
                 self.tag(8);
                 self.reg(*obj);
                 self.field(*field);
-                self.tag(tag_of(&FIELD_OPS, op));
+                self.tag(tag_of(&FieldOp::ALL, op));
                 self.reg(*value);
             }
             Inst::TeslaPseudoAssert { assertion, args } => {
@@ -309,7 +302,7 @@ impl Writer {
                 self.tag(14);
                 self.reg(*obj);
                 self.field(*field);
-                self.tag(tag_of(&FIELD_OPS, op));
+                self.tag(tag_of(&FieldOp::ALL, op));
                 self.reg(*value);
             }
             Inst::TeslaSite { class, args } => {
@@ -523,7 +516,7 @@ impl Reader<'_> {
             8 => Inst::Store {
                 obj: self.reg()?,
                 field: self.field()?,
-                op: self.variant(&FIELD_OPS, "FieldOp")?,
+                op: self.variant(&FieldOp::ALL, "FieldOp")?,
                 value: self.reg()?,
             },
             9 => Inst::TeslaPseudoAssert {
@@ -547,7 +540,7 @@ impl Reader<'_> {
             14 => Inst::TeslaHookField {
                 obj: self.reg()?,
                 field: self.field()?,
-                op: self.variant(&FIELD_OPS, "FieldOp")?,
+                op: self.variant(&FieldOp::ALL, "FieldOp")?,
                 value: self.reg()?,
             },
             _ => Inst::TeslaSite {

@@ -424,15 +424,14 @@ mod tests {
         h.on_event(&LifecycleEvent::Overflow { class: 0 });
         let c = h.class(0).expect("class tallied");
         assert_eq!(c.news(), 1);
-        assert_eq!(h.weights().class_total(0), 3);
+        assert_eq!(c.updates(), 3);
         assert_eq!(c.accepted(), 1);
         assert_eq!(c.overflows(), 1);
-        let w = h.weights();
-        assert_eq!(w.count(0, &StateSet::singleton(0), SymbolId(1)), 2);
-        assert_eq!(w.symbol_count(0, SymbolId(1)), 2);
-        assert_eq!(w.covered_symbols(0), vec![SymbolId(1), SymbolId(2)]);
+        assert_eq!(c.count(&StateSet::singleton(0), SymbolId(1)), 2);
+        assert_eq!(c.symbol_count(SymbolId(1)), 2);
+        assert_eq!(c.covered_symbols(), vec![SymbolId(1), SymbolId(2)]);
         // Other classes are unaffected.
-        assert_eq!(w.symbol_count(1, SymbolId(1)), 0);
+        assert_eq!(h.class(1).map_or(0, |c| c.symbol_count(SymbolId(1))), 0);
         assert_eq!(h.events_total(), 6);
     }
 
@@ -456,10 +455,11 @@ mod tests {
             from_states: start,
             to_states: start,
         });
-        assert_eq!(h.weights().count(0, &start, a.site_sym), 1);
+        let c = h.class(0).expect("class tallied");
+        assert_eq!(c.count(&start, a.site_sym), 1);
         // The count lands in the dense table, whose rows are DOT state
         // ids.
-        let cw = h.weight_source(0).expect("dense table installed");
+        let cw = c.weights().expect("dense table installed");
         assert_eq!(cw.nonzero().len(), 1);
     }
 

@@ -57,27 +57,6 @@ pub const TRACE_VERSION: u32 = 1;
 /// newline).
 pub const TRACE_HEADER: &str = "{\"tesla_trace\":1}";
 
-fn op_label(op: FieldOp) -> &'static str {
-    match op {
-        FieldOp::Assign => "=",
-        FieldOp::AddAssign => "+=",
-        FieldOp::SubAssign => "-=",
-        FieldOp::OrAssign => "|=",
-        FieldOp::AndAssign => "&=",
-    }
-}
-
-fn op_from_label(s: &str) -> Option<FieldOp> {
-    Some(match s {
-        "=" => FieldOp::Assign,
-        "+=" => FieldOp::AddAssign,
-        "-=" => FieldOp::SubAssign,
-        "|=" => FieldOp::OrAssign,
-        "&=" => FieldOp::AndAssign,
-        _ => return None,
-    })
-}
-
 fn values_json(vs: &[Value]) -> String {
     let items: Vec<String> = vs.iter().map(|v| v.0.to_string()).collect();
     format!("[{}]", items.join(","))
@@ -110,7 +89,7 @@ pub fn format_event(ev: &IngressEventRef<'_>) -> String {
             json_escape(strct),
             json_escape(field),
             object.0,
-            op_label(op),
+            op.label(),
             value.0
         ),
         IngressEventRef::MsgEntry {
@@ -194,7 +173,7 @@ pub fn parse_event(line: &str) -> Result<IngressEvent, String> {
         }),
         "field_store" => {
             let op_s = str_field(&obj, "op")?;
-            let op = op_from_label(&op_s).ok_or_else(|| {
+            let op = FieldOp::from_label(&op_s).ok_or_else(|| {
                 format!("unknown field operator {op_s:?} (want =, +=, -=, |=, &=)")
             })?;
             Ok(IngressEvent::FieldStore {
@@ -398,7 +377,7 @@ impl EventScratch {
                     B_FIELD => p.plain_str().map(|s| self.field.push_str(s)).is_some(),
                     B_OP => p
                         .plain_str()
-                        .and_then(op_from_label)
+                        .and_then(FieldOp::from_label)
                         .map(|op| self.op = op)
                         .is_some(),
                     B_ARGS | B_VALS => scan_values(&mut p, &mut self.args),

@@ -50,26 +50,6 @@ const K_SITE: u64 = 5;
 /// The longest event the wire format can express: 255 payload words.
 const MAX_PAYLOAD: usize = 255;
 
-fn op_code(op: FieldOp) -> u64 {
-    match op {
-        FieldOp::Assign => 0,
-        FieldOp::AddAssign => 1,
-        FieldOp::SubAssign => 2,
-        FieldOp::OrAssign => 3,
-        FieldOp::AndAssign => 4,
-    }
-}
-
-fn op_from_code(c: u64) -> FieldOp {
-    match c {
-        1 => FieldOp::AddAssign,
-        2 => FieldOp::SubAssign,
-        3 => FieldOp::OrAssign,
-        4 => FieldOp::AndAssign,
-        _ => FieldOp::Assign,
-    }
-}
-
 fn header(kind: u64, op: u64, n_payload: usize, id: u32) -> u64 {
     kind | (op << 4) | ((n_payload as u64) << 8) | (u64::from(id) << 32)
 }
@@ -165,7 +145,11 @@ impl Ring {
                         struct_id: NameId(id),
                         field_id: fid,
                         object,
-                        op: op_from_code(op),
+                        // An unknown code decodes leniently as `=`.
+                        op: FieldOp::ALL
+                            .get(op as usize)
+                            .copied()
+                            .unwrap_or(FieldOp::Assign),
                         value,
                     }
                 }
@@ -307,7 +291,7 @@ impl EventProducer {
     ) -> bool {
         self.begin();
         self.buf.extend([u64::from(field.0), object.0, value.0]);
-        self.finish(K_FIELD_STORE, op_code(op), strct.0)
+        self.finish(K_FIELD_STORE, op as u64, strct.0)
     }
 
     /// Stage a `msg_entry` event.

@@ -177,16 +177,8 @@ fn values(ints: &[i64]) -> Vec<Value> {
 }
 
 fn parse_field_op(s: &str) -> Result<FieldOp, String> {
-    match s {
-        "=" => Ok(FieldOp::Assign),
-        "+=" => Ok(FieldOp::AddAssign),
-        "-=" => Ok(FieldOp::SubAssign),
-        "|=" => Ok(FieldOp::OrAssign),
-        "&=" => Ok(FieldOp::AndAssign),
-        other => Err(format!(
-            "unknown field op `{other}` (expected =, +=, -=, |= or &=)"
-        )),
-    }
+    FieldOp::from_label(s)
+        .ok_or_else(|| format!("unknown field op `{s}` (expected =, +=, -=, |= or &=)"))
 }
 
 /// The *spec* runner's adapter: lower one timeline step to the wire

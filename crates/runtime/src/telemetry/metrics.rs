@@ -2,14 +2,17 @@
 //!
 //! The registry is the runtime's one lifecycle tally: every reading
 //! of a class's counters, its transition weights and the violation
-//! count comes from here. Everything on the recording path of the
-//! first [`MAX_DENSE_CLASSES`] classes is a relaxed atomic operation
-//! on preallocated storage — no locks, no allocation after a class's
-//! first touch — so counting preserves the engine's contention-free
-//! dispatch invariant. Classes beyond them (rare: a class is one
-//! registered assertion) keep exact counters and weight tables in
-//! locked maps. Aggregation (snapshots, export) walks the same
-//! atomics read-only and can run concurrently with recording.
+//! count comes from here. Each class has one record, a
+//! [`ClassMetrics`]: its lifecycle counters, its weight table and the
+//! exact spill of transitions the table has no cell for. Everything
+//! on the recording path of the first [`MAX_DENSE_CLASSES`] classes
+//! is a relaxed atomic operation on preallocated storage — no locks,
+//! no allocation after a class's first touch — so counting preserves
+//! the engine's contention-free dispatch invariant. Classes beyond
+//! them (rare: a class is one registered assertion) keep the same
+//! record, exact, in a locked map. Aggregation (snapshots, export)
+//! walks the same atomics read-only and can run concurrently with
+//! recording.
 //!
 //! # Two ways in, one count
 //!
@@ -53,13 +56,20 @@
 use crate::event::LifecycleEvent;
 use crate::handlers::EventHandler;
 use crate::locks;
-use crate::telemetry::weights::{ClassWeights, TransitionWeights, MAX_DENSE_CLASSES};
+use crate::telemetry::weights::ClassWeights;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tesla_automata::{Automaton, Dfa, StateSet, SymbolId};
+use tesla_automata::{Automaton, Dfa, FoldHasher, StateSet, SymbolId};
+
+/// Classes with ids below this keep their records in a dense slot
+/// array (readers pay one atomic load); beyond it (rare — a class is
+/// one registered assertion) the records live in a locked map and stay
+/// exact, just slower.
+pub const MAX_DENSE_CLASSES: usize = 1024;
 
 /// Stripes for the hottest global counters (hook calls). Each thread
 /// hashes onto one stripe, so concurrent dispatch threads increment
@@ -340,14 +350,21 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-class lifecycle counters and the live-instance peak.
+/// Exact counts of the transitions out of state sets a class's table
+/// has no row for, keyed by (source set, symbol).
+type Spill = HashMap<(StateSet, SymbolId), u64, BuildHasherDefault<FoldHasher>>;
+
+/// One class's record: its lifecycle counters, the live-instance
+/// peak, and its transition weights — the dense table installed at
+/// registration plus the exact spill of updates the table has no
+/// cell for.
 ///
 /// There is deliberately no `updates` counter here: every `Update`
-/// event lands exactly one transition count in the weight store
-/// (dense or spilled), so the update total is derived from there at
-/// read time instead of paying a third atomic RMW per event on the
-/// hot path. The live gauge is derived the same way, from the
-/// lifecycle counters ([`ClassMetrics::live`]).
+/// event lands exactly one transition count, in the table or the
+/// spill, so the update total is derived from there at read time
+/// ([`ClassMetrics::updates`]) instead of paying a third atomic RMW
+/// per event on the hot path. The live gauge is derived the same
+/// way, from the lifecycle counters ([`ClassMetrics::live`]).
 pub struct ClassMetrics {
     name: OnceLock<String>,
     news: AtomicU64,
@@ -358,6 +375,8 @@ pub struct ClassMetrics {
     evictions: AtomicU64,
     shed: AtomicU64,
     high_watermark: AtomicU64,
+    weights: OnceLock<ClassWeights>,
+    spill: Mutex<Spill>,
 }
 
 impl ClassMetrics {
@@ -372,6 +391,8 @@ impl ClassMetrics {
             evictions: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             high_watermark: AtomicU64::new(0),
+            weights: OnceLock::new(),
+            spill: Mutex::new(Spill::default()),
         }
     }
 
@@ -433,6 +454,81 @@ impl ClassMetrics {
     /// Most instances ever live at once.
     pub fn high_watermark(&self) -> u64 {
         self.high_watermark.load(Ordering::Relaxed)
+    }
+
+    /// The class's dense weight table, once registered — the
+    /// [`tesla_automata::dot::WeightSource`] for rendering its
+    /// weighted graph.
+    pub fn weights(&self) -> Option<&ClassWeights> {
+        self.weights.get()
+    }
+
+    /// State updates: every transition counted, table plus spill. One
+    /// weight lands per `Update` event, so this is exact.
+    pub fn updates(&self) -> u64 {
+        let dense = self.weights().map_or(0, ClassWeights::total);
+        dense + locks::lock(&self.spill).values().sum::<u64>()
+    }
+
+    /// Exact count of `sym` fired out of `from`, table plus spill
+    /// (updates seen before registration spilled and still count).
+    pub fn count(&self, from: &StateSet, sym: SymbolId) -> u64 {
+        let dense = self
+            .weights()
+            .and_then(|w| w.count_from(from, sym))
+            .unwrap_or(0);
+        let spilled = locks::lock(&self.spill).get(&(*from, sym)).copied();
+        dense + spilled.unwrap_or(0)
+    }
+
+    /// Times `sym` fired, over all source state sets.
+    pub fn symbol_count(&self, sym: SymbolId) -> u64 {
+        let dense = self.weights().map_or(0, |w| {
+            (0..w.n_states() as u32).map(|row| w.get(row, sym.0)).sum()
+        });
+        let spilled: u64 = locks::lock(&self.spill)
+            .iter()
+            .filter(|((_, s), _)| *s == sym)
+            .map(|(_, n)| n)
+            .sum();
+        dense + spilled
+    }
+
+    /// Symbols that fired at least once, sorted.
+    pub fn covered_symbols(&self) -> Vec<SymbolId> {
+        let mut syms: Vec<SymbolId> = self
+            .weights()
+            .map(|w| {
+                w.nonzero()
+                    .into_iter()
+                    .map(|(_, s, _)| SymbolId(s))
+                    .collect()
+            })
+            .unwrap_or_default();
+        syms.extend(locks::lock(&self.spill).keys().map(|&(_, s)| s));
+        syms.sort_unstable();
+        syms.dedup();
+        syms
+    }
+
+    /// Lifecycle events counted for this class: its lifecycle counters
+    /// plus its updates.
+    fn events(&self) -> u64 {
+        self.news()
+            + self.clones()
+            + self.accepted()
+            + self.rejected()
+            + self.overflows()
+            + self.evictions()
+            + self.shed()
+            + self.updates()
+    }
+
+    /// Count one update out of `from`, a set the table has no row for.
+    #[cold]
+    #[inline(never)]
+    fn spill_update(&self, from: &StateSet, sym: SymbolId) {
+        *locks::lock(&self.spill).entry((*from, sym)).or_insert(0) += 1;
     }
 
     /// The signed live balance.
@@ -550,13 +646,12 @@ pub struct MetricsRegistry {
     /// [`LATENCY_SAMPLE_PERIOD`]; the overhead governor widens them
     /// to trade histogram resolution for timer cost.
     sample_period: [AtomicU32; N_HOOKS],
-    /// Counters of classes below [`MAX_DENSE_CLASSES`], one slot per
+    /// Records of classes below [`MAX_DENSE_CLASSES`], one slot per
     /// id, created on first touch.
     classes: Box<[OnceLock<Arc<ClassMetrics>>]>,
-    /// Counters of the classes from [`MAX_DENSE_CLASSES`] up, by id.
+    /// Records of the classes from [`MAX_DENSE_CLASSES`] up, by id.
     /// Empty, and unallocated, unless such a class is touched.
-    spilled: Mutex<BTreeMap<u32, Arc<ClassMetrics>>>,
-    weights: TransitionWeights,
+    cold: Mutex<BTreeMap<u32, Arc<ClassMetrics>>>,
     violations: AtomicU64,
     sites_elided: AtomicU64,
     handler_panics: AtomicU64,
@@ -582,8 +677,7 @@ impl MetricsRegistry {
             hook_latency: std::array::from_fn(|_| LatencyHistogram::new()),
             sample_period: std::array::from_fn(|_| AtomicU32::new(LATENCY_SAMPLE_PERIOD)),
             classes: (0..MAX_DENSE_CLASSES).map(|_| OnceLock::new()).collect(),
-            spilled: Mutex::new(BTreeMap::new()),
-            weights: TransitionWeights::new(),
+            cold: Mutex::new(BTreeMap::new()),
             violations: AtomicU64::new(0),
             sites_elided: AtomicU64::new(0),
             handler_panics: AtomicU64::new(0),
@@ -674,32 +768,33 @@ impl MetricsRegistry {
         self.hook_latency[kind as usize].snapshot()
     }
 
-    /// Counters for `class`, if any event or registration touched it.
+    /// The record of `class` — counters, weight table and spill — if
+    /// any event or registration touched it.
     pub fn class(&self, class: u32) -> Option<Arc<ClassMetrics>> {
         match self.classes.get(class as usize) {
             Some(slot) => slot.get().cloned(),
-            None => locks::lock(&self.spilled).get(&class).cloned(),
+            None => locks::lock(&self.cold).get(&class).cloned(),
         }
     }
 
-    /// Run `f` on `class`'s counters, creating them on first touch. A
+    /// Run `f` on `class`'s record, creating it on first touch. A
     /// dense id is one indexed load and never clones the `Arc` (two
     /// ref-count RMWs per event would be pure overhead on the
-    /// dispatch path); a spilled id takes the map's lock.
+    /// dispatch path); a cold id takes the map's lock.
     #[inline]
     fn with_class(&self, class: u32, f: impl FnOnce(&ClassMetrics)) {
         match self.classes.get(class as usize) {
             Some(slot) => f(slot.get_or_init(|| Arc::new(ClassMetrics::new()))),
-            None => f(&self.spilled_class(class)),
+            None => f(&self.cold_class(class)),
         }
     }
 
     /// [`MetricsRegistry::with_class`] beyond the dense slots.
     #[cold]
     #[inline(never)]
-    fn spilled_class(&self, class: u32) -> Arc<ClassMetrics> {
+    fn cold_class(&self, class: u32) -> Arc<ClassMetrics> {
         Arc::clone(
-            locks::lock(&self.spilled)
+            locks::lock(&self.cold)
                 .entry(class)
                 .or_insert_with(|| Arc::new(ClassMetrics::new())),
         )
@@ -712,20 +807,9 @@ impl MetricsRegistry {
                 f(id as u32, c);
             }
         }
-        for (&id, c) in locks::lock(&self.spilled).iter() {
+        for (&id, c) in locks::lock(&self.cold).iter() {
             f(id, c);
         }
-    }
-
-    /// The transition-weight store (fig. 9 edge weights).
-    pub fn weights(&self) -> &TransitionWeights {
-        &self.weights
-    }
-
-    /// Dense weight table for `class`, usable directly as the
-    /// [`tesla_automata::dot::WeightSource`] when rendering.
-    pub fn weight_source(&self, class: u32) -> Option<Arc<ClassWeights>> {
-        self.weights.class(class)
     }
 
     /// The transition-coverage map implied by the weight tables: every
@@ -735,8 +819,8 @@ impl MetricsRegistry {
     /// falls out of the fig. 9 weight counters for free.
     pub fn coverage_map(&self) -> tesla_automata::CoverageMap {
         let mut map = tesla_automata::CoverageMap::new();
-        self.for_each_class(|class, metrics| {
-            let Some(weights) = self.weights.class(class) else {
+        self.for_each_class(|_, metrics| {
+            let Some(weights) = metrics.weights() else {
                 return;
             };
             let cov = map.class_mut(
@@ -753,21 +837,20 @@ impl MetricsRegistry {
 
     /// Lifecycle events dispatched so far. Derived, not counted: the
     /// hot path already pays one counter per event (a lifecycle
-    /// counter, a transition-weight cell, or the violation counter),
-    /// so the total is the sum of those — exact at quiescence and
-    /// monotone while dispatch threads are running.
+    /// counter, a transition-weight cell or spill entry, or the
+    /// violation counter), so the total is the sum of those — exact at
+    /// quiescence and monotone while dispatch threads are running.
     pub fn events_total(&self) -> u64 {
         let mut total = self.violations();
-        self.for_each_class(|_, c| {
-            total += c.news()
-                + c.clones()
-                + c.accepted()
-                + c.rejected()
-                + c.overflows()
-                + c.evictions()
-                + c.shed();
-        });
-        total + self.weights.grand_total()
+        self.for_each_class(|_, c| total += c.events());
+        total
+    }
+
+    /// State updates across all classes ([`ClassMetrics::updates`]).
+    pub fn updates(&self) -> u64 {
+        let mut total = 0;
+        self.for_each_class(|_, c| total += c.updates());
+        total
     }
 
     /// Violations observed so far.
@@ -841,9 +924,8 @@ impl MetricsRegistry {
             .collect();
         let mut classes = Vec::new();
         self.for_each_class(|id, c| {
-            let transitions = self
-                .weights
-                .class(id)
+            let transitions = c
+                .weights()
                 .map(|cw| {
                     cw.nonzero()
                         .into_iter()
@@ -860,7 +942,7 @@ impl MetricsRegistry {
                 name: c.name().to_string(),
                 news: c.news(),
                 clones: c.clones(),
-                updates: self.weights.class_total(id),
+                updates: c.updates(),
                 accepted: c.accepted(),
                 rejected: c.rejected(),
                 overflows: c.overflows(),
@@ -887,14 +969,18 @@ impl MetricsRegistry {
 /// The record methods: one per lifecycle event, shared by the
 /// engine's direct calls and [`MetricsRegistry::on_event`].
 impl MetricsRegistry {
-    /// Name `class` and install its weight table, whose rows are
-    /// `dfa`'s when the class has a runtime DFA (see
-    /// [`TransitionWeights::register`]).
+    /// Name `class` and install its weight table (idempotent; the
+    /// first registration wins). The table's rows are `dfa`'s, the DFA
+    /// the class's instances step on, when it has one; otherwise the
+    /// class gets one [`Dfa::from_automaton`]. Cold path.
     pub(crate) fn register_class(&self, class: u32, automaton: &Automaton, dfa: Option<&Arc<Dfa>>) {
         self.with_class(class, |c| {
             let _ = c.name.set(automaton.name.clone());
+            c.weights.get_or_init(|| {
+                let dfa = dfa.map_or_else(|| Arc::new(Dfa::from_automaton(automaton)), Arc::clone);
+                ClassWeights::new(dfa)
+            });
         });
-        self.weights.register(class, automaton, dfa);
     }
 
     /// Count an instance initialisation.
@@ -921,17 +1007,25 @@ impl MetricsRegistry {
     /// the row's state set with [`MetricsRegistry::record_update`].
     #[inline]
     pub(crate) fn record_update_row(&self, class: u32, row: u32, sym: SymbolId) -> bool {
-        self.weights.record_row(class, row, sym)
+        let table = |c: &ClassMetrics| c.weights().is_some_and(|w| w.record_row(row, sym));
+        match self.classes.get(class as usize) {
+            Some(slot) => slot.get().is_some_and(|c| table(c)),
+            None => self.class(class).is_some_and(|c| table(&c)),
+        }
     }
 
-    /// Count an update out of the exact state set `from`. The weight
-    /// cell is the update counter (see [`ClassMetrics`]); touching the
-    /// class slot keeps the class visible to snapshots even before
-    /// registration.
+    /// Count an update out of the exact state set `from`: its table
+    /// row when the class's DFA has the set, else the class's spill.
+    /// The count is the update counter (see [`ClassMetrics`]); an
+    /// update before registration creates the record, so the class is
+    /// visible to snapshots.
     #[inline]
     pub(crate) fn record_update(&self, class: u32, from: &StateSet, sym: SymbolId) {
-        self.with_class(class, |_| {});
-        self.weights.record(class, from, sym);
+        self.with_class(class, |c| {
+            if !c.weights().is_some_and(|w| w.record(from, sym)) {
+                c.spill_update(from, sym);
+            }
+        });
     }
 
     /// Count a violation.
@@ -1080,16 +1174,78 @@ mod tests {
         assert_eq!(r.snapshot().hooks[0].sample_period, 1);
     }
 
+    fn automaton() -> Automaton {
+        let a = AssertionBuilder::within("req")
+            .previously(call("check").arg_var("x").returns(0))
+            .build()
+            .unwrap();
+        compile(&a).unwrap()
+    }
+
+    #[test]
+    fn dense_and_spill_counts_sum_exactly() {
+        let r = MetricsRegistry::new();
+        let a = automaton();
+        let start = a.initial_states();
+        let sym = a.site_sym;
+        // Before registration: spills.
+        r.record_update(0, &start, sym);
+        r.register_class(0, &a, None);
+        // After registration: dense.
+        r.record_update(0, &start, sym);
+        r.record_update(0, &start, sym);
+        let c = r.class(0).unwrap();
+        assert_eq!(c.count(&start, sym), 3);
+        assert_eq!(c.symbol_count(sym), 3);
+        assert_eq!(c.covered_symbols(), vec![sym]);
+        // The dense table alone holds only the post-registration hits,
+        // in DFA row 0 (the start state is BFS-first).
+        let cw = c.weights().unwrap();
+        assert_eq!(cw.get(0, sym.0), 2);
+    }
+
+    #[test]
+    fn unindexed_state_sets_spill_exactly() {
+        let r = MetricsRegistry::new();
+        let a = automaton();
+        r.register_class(0, &a, None);
+        // A merged (non-DFA) state set.
+        let mut merged = StateSet::singleton(0);
+        merged.insert(a.n_states.saturating_sub(1));
+        merged.insert(1);
+        let sym = a.site_sym;
+        r.record_update(0, &merged, sym);
+        assert_eq!(r.class(0).unwrap().count(&merged, sym), 1);
+    }
+
+    #[test]
+    fn cold_class_spills_into_its_own_record() {
+        let r = MetricsRegistry::new();
+        let a = automaton();
+        let cold = MAX_DENSE_CLASSES as u32 + 6;
+        r.register_class(cold, &a, None);
+        let mut merged = StateSet::singleton(0);
+        merged.insert(a.n_states.saturating_sub(1));
+        merged.insert(1);
+        let sym = a.site_sym;
+        r.record_update(cold, &merged, sym);
+        assert!(r.record_update_row(cold, 0, sym));
+        let c = r.class(cold).expect("cold record");
+        assert_eq!(c.count(&merged, sym), 1);
+        assert_eq!(c.weights().expect("cold table").total(), 1);
+        assert_eq!(c.updates(), 2);
+        assert_eq!(r.updates(), 2);
+        assert_eq!(r.events_total(), 2);
+        // The spill is the cold class's own: a dense class reads none.
+        r.register_class(0, &a, None);
+        assert_eq!(r.class(0).unwrap().count(&merged, sym), 0);
+        assert_eq!(r.class(0).unwrap().updates(), 0);
+    }
+
     #[test]
     fn registry_tracks_lifecycle_and_live_gauge() {
         let r = MetricsRegistry::new();
-        let a = compile(
-            &AssertionBuilder::within("req")
-                .previously(call("check").arg_var("x").returns(0))
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let a = automaton();
         r.on_register(0, &a);
         r.on_event(&LifecycleEvent::New {
             class: 0,
@@ -1117,13 +1273,13 @@ mod tests {
         assert_eq!(c.name(), a.name);
         assert_eq!(c.news(), 1);
         assert_eq!(c.clones(), 1);
-        // Updates are derived from the weight store, not counted.
-        assert_eq!(r.weights().class_total(0), 1);
+        // Updates are derived from the weights, not counted.
+        assert_eq!(c.updates(), 1);
         assert_eq!(c.accepted(), 1);
         assert_eq!(c.live(), 1); // 2 created, 1 finalised
         assert_eq!(c.high_watermark(), 2);
         assert_eq!(r.events_total(), 4);
-        assert_eq!(r.weights().symbol_count(0, a.site_sym), 1);
+        assert_eq!(c.symbol_count(a.site_sym), 1);
         // Extra finalises drive the balance negative; the gauge clamps.
         r.on_event(&LifecycleEvent::Finalise {
             class: 0,

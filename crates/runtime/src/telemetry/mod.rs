@@ -8,16 +8,17 @@
 //! DTrace substitute, built so that *observing* the runtime never
 //! perturbs the contention-free dispatch path it observes:
 //!
-//! * [`weights`] — dense per-class transition-weight tables over
-//!   (DFA state, symbol) indices. One atomic add per transition on
-//!   the hot path; a striped spillover map catches the rare keys that
-//!   have no dense slot (unregistered classes, merged state sets).
 //! * [`metrics`] — the [`MetricsRegistry`], the runtime's one
-//!   lifecycle tally: per-class lifecycle counters, live-instance
-//!   gauges with high-watermarks, hook-call counters and
-//!   log₂-bucketed hook-latency histograms in fixed-size atomic
-//!   arrays. Zero locks on the recording path of the first
-//!   [`weights::MAX_DENSE_CLASSES`] classes.
+//!   lifecycle tally: one [`ClassMetrics`] record per class (lifecycle
+//!   counters, live-instance gauge with high-watermark, the class's
+//!   transition-weight table and the exact spill of transitions the
+//!   table has no cell for), hook-call counters and log₂-bucketed
+//!   hook-latency histograms in fixed-size atomic arrays. Zero locks
+//!   on the recording path of the first
+//!   [`metrics::MAX_DENSE_CLASSES`] classes.
+//! * [`weights`] — the dense per-class transition-weight table over
+//!   (DFA state, symbol) indices that a class's record holds. One
+//!   atomic add per transition on the hot path.
 //! * [`recorder`] — the [`FlightRecorder`]: a bounded, per-thread,
 //!   overwrite-oldest ring buffer of lifecycle events using a seqlock
 //!   protocol over plain `AtomicU64` words (no `unsafe`), snapshotted
@@ -43,4 +44,4 @@ pub use metrics::{
     MetricsSnapshot, TransitionCount,
 };
 pub use recorder::{FlightRecorder, RecordedEvent};
-pub use weights::{ClassWeights, TransitionWeights};
+pub use weights::ClassWeights;

@@ -383,8 +383,15 @@ fn telemetry_counters_are_exact_under_parallel_dispatch() {
 
     // Transition weights agree between both tables, and their total
     // equals the Update count (one edge firing per Update).
-    let rw = m.weight_source(id.0).expect("registry weights");
-    let cw = second.weight_source(id.0).expect("second registry weights");
+    let (rc, cc) = (m.class(id.0), second.class(id.0));
+    let rw = rc
+        .as_deref()
+        .and_then(|c| c.weights())
+        .expect("registry weights");
+    let cw = cc
+        .as_deref()
+        .and_then(|c| c.weights())
+        .expect("second registry weights");
     let rt: u64 = rw.nonzero().iter().map(|&(_, _, n)| n).sum();
     let ct: u64 = cw.nonzero().iter().map(|&(_, _, n)| n).sum();
     assert_eq!(rt, updates);

@@ -393,7 +393,7 @@ fn counting_handler_weights_transitions() {
     for _ in 0..5 {
         poll_scenario(&t, id, Some(42), Some(42)).unwrap();
     }
-    let weights = registry.weights();
+    let weights = registry.class(0).expect("class record");
     let defs = t.class_defs();
     let auto = &defs[0].automaton;
     let check_sym = auto
@@ -402,9 +402,9 @@ fn counting_handler_weights_transitions() {
         .find(|s| s.kind.to_string().contains("mac_socket_check_poll"))
         .unwrap()
         .id;
-    assert_eq!(weights.symbol_count(0, check_sym), 5);
-    assert_eq!(weights.symbol_count(0, auto.site_sym), 5);
-    assert!(weights.covered_symbols(0).contains(&auto.site_sym));
+    assert_eq!(weights.symbol_count(check_sym), 5);
+    assert_eq!(weights.symbol_count(auto.site_sym), 5);
+    assert!(weights.covered_symbols().contains(&auto.site_sym));
 }
 
 #[test]
@@ -1041,8 +1041,9 @@ fn registry_counts_classes_past_its_dense_table() {
     assert_eq!(cells(high), cells(low));
     let defs = t.class_defs();
     let dot = |id: usize| {
-        let w = m.weight_source(id as u32).expect("a weight table");
-        let dot = tesla_automata::dot::render(&defs[id].automaton, &*w);
+        let c = m.class(id as u32).expect("a class record");
+        let w = c.weights().expect("a weight table");
+        let dot = tesla_automata::dot::render(&defs[id].automaton, w);
         dot.replace(&format!("check_{id}("), "check(")
             .replace(&format!("\"c{id}\""), "\"c\"")
     };

@@ -294,15 +294,18 @@ fn both_ways_agree(eviction: EvictionPolicy) {
     assert_eq!(direct.coverage_map(), attached.coverage_map());
     assert_eq!(direct.events_total(), events.len() as u64);
     for (class, auto) in autos.iter().enumerate() {
+        let (c1, c2) = (direct.class(class as u32), attached.class(class as u32));
         let (w1, w2) = (
-            direct.weight_source(class as u32).expect("direct table"),
-            attached
-                .weight_source(class as u32)
+            c1.as_deref()
+                .and_then(|c| c.weights())
+                .expect("direct table"),
+            c2.as_deref()
+                .and_then(|c| c.weights())
                 .expect("attached table"),
         );
         assert_eq!(
-            dot::render(auto, &*w1),
-            dot::render(auto, &*w2),
+            dot::render(auto, w1),
+            dot::render(auto, w2),
             "{}",
             auto.name
         );

@@ -373,7 +373,7 @@ mod tests {
         let mut app = GuiApp::new(GuiMode::Tesla(engine), GuiBugs::default());
         drive(&mut app);
         // The tracing automaton consumed plenty of events.
-        let updates = registry.weights().grand_total();
+        let updates = registry.updates();
         assert!(updates > 10, "updates: {updates}");
         assert_eq!(registry.violations(), 0);
     }

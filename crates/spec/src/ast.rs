@@ -97,16 +97,40 @@ pub enum FieldOp {
     AndAssign,
 }
 
-impl std::fmt::Display for FieldOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl FieldOp {
+    /// Every operator, indexed by its wire code (`op as usize`): the
+    /// ring's header nibble and the IR codec's tag.
+    pub const ALL: [FieldOp; 5] = [
+        FieldOp::Assign,
+        FieldOp::AddAssign,
+        FieldOp::SubAssign,
+        FieldOp::OrAssign,
+        FieldOp::AndAssign,
+    ];
+
+    /// The operator as written (`=`, `+=`, …), in specs, traces and
+    /// scenarios alike.
+    #[inline]
+    pub fn label(self) -> &'static str {
+        match self {
             FieldOp::Assign => "=",
             FieldOp::AddAssign => "+=",
             FieldOp::SubAssign => "-=",
             FieldOp::OrAssign => "|=",
             FieldOp::AndAssign => "&=",
-        };
-        write!(f, "{s}")
+        }
+    }
+
+    /// The operator written `s`, if any.
+    #[inline]
+    pub fn from_label(s: &str) -> Option<FieldOp> {
+        FieldOp::ALL.into_iter().find(|op| op.label() == s)
+    }
+}
+
+impl std::fmt::Display for FieldOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -466,6 +490,17 @@ pub fn call_returns(name: &str, args: Vec<ArgPattern>, ret: i64) -> EventExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn field_op_labels_and_codes_round_trip() {
+        for (code, op) in FieldOp::ALL.into_iter().enumerate() {
+            assert_eq!(FieldOp::from_label(op.label()), Some(op));
+            assert_eq!(op.to_string(), op.label());
+            assert_eq!(op as usize, code);
+            assert_eq!(FieldOp::ALL[op as usize], op);
+        }
+        assert_eq!(FieldOp::from_label("*="), None);
+    }
 
     fn ev(name: &str) -> Expr {
         Expr::Event(EventExpr::FunctionEvent {

@@ -110,7 +110,7 @@ fn main() {
     let defs = engine.class_defs();
     println!(
         "\nhealthy session: {} automaton updates across {} instrumented selectors, 0 errors",
-        registry.weights().grand_total(),
+        registry.updates(),
         defs[0].automaton.n_symbols() - 3,
     );
     assert_eq!(registry.violations(), 0);

@@ -33,10 +33,10 @@ fn figure8_automaton_traces_a_whole_session_without_errors() {
     let mut app = GuiApp::new(GuiMode::Tesla(engine.clone()), GuiBugs::default());
     xnee::replay(&mut app, &xnee::session(50));
     assert_eq!(registry.violations(), 0);
-    assert!(registry.weights().grand_total() > 100);
+    assert!(registry.updates() > 100);
     // Logical coverage over the automaton's alphabet: which of the
     // ~110 instrumented methods actually ran.
-    let covered = registry.weights().covered_symbols(0);
+    let covered = registry.class(0).expect("class record").covered_symbols();
     assert!(covered.len() > 3, "covered symbols: {}", covered.len());
     let defs = engine.class_defs();
     assert!(covered.len() < defs[0].automaton.n_symbols());
@@ -113,7 +113,7 @@ fn gstate_profile_exposes_save_restore_pairs() {
         auto.symbols
             .iter()
             .find(|s| s.kind.to_string().contains(needle))
-            .map(|s| registry.weights().symbol_count(0, s.id))
+            .map(|s| registry.class(0).map_or(0, |c| c.symbol_count(s.id)))
             .unwrap_or(0)
     };
     let saves = find("saveGraphicsState");

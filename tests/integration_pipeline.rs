@@ -4,6 +4,7 @@
 //! multi-unit programs, including the §4.2 instrument-before-optimise
 //! ordering requirement.
 
+use std::collections::HashSet;
 use tesla::pipeline::{run_with_tesla, BuildOptions, BuildSystem, Project};
 use tesla_ir::opt::optimise;
 use tesla_runtime::Tesla;
@@ -142,7 +143,8 @@ fn manifests_link_across_units_like_tesla_files() {
         .collect();
     let merged = tesla_automata::Manifest::merge(&parsed);
     assert_eq!(merged.entries.len(), 1);
-    let plan = merged.instrumentation_plan().unwrap();
+    let automata = merged.compile_all().unwrap();
+    let plan = tesla::instrument::weave_plan(&automata, &HashSet::new()).functions;
     assert!(plan.contains_key("mac_socket_check_poll"));
     assert!(plan.contains_key("amd64_syscall"));
 }
@@ -214,8 +216,9 @@ fn figure9_dot_graph_renders_with_runtime_weights() {
     }
     let defs = t.class_defs();
     let auto = &defs[0].automaton;
-    let weights = registry.weight_source(0).expect("weights for class 0");
-    let dot = tesla_automata::dot::render(auto, &*weights);
+    let class = registry.class(0).expect("a record for class 0");
+    let weights = class.weights().expect("weights for class 0");
+    let dot = tesla_automata::dot::render(auto, weights);
     assert!(dot.contains("mac_socket_check_poll"));
     assert!(dot.contains("×)"), "weights rendered: {dot}");
 }

@@ -122,10 +122,11 @@ fn oltp_under_full_telemetry_exports_every_format() {
     // Weighted fig. 9 graphs straight off the live registry.
     let mut weighted = 0;
     for (i, def) in t.class_defs().iter().enumerate() {
-        let Some(w) = m.weight_source(i as u32) else {
+        let class = m.class(i as u32);
+        let Some(w) = class.as_deref().and_then(|c| c.weights()) else {
             continue;
         };
-        let dot = tesla::automata::dot::render(&def.automaton, &*w);
+        let dot = tesla::automata::dot::render(&def.automaton, w);
         assert!(dot.contains("digraph"));
         if dot.contains("×") {
             weighted += 1;
@@ -187,10 +188,9 @@ fn gui_session_renders_weighted_figure8_graph() {
     let c = snap.classes.first().expect("figure 8 class");
     assert!(c.updates > 100, "a 50-event session drives >100 updates");
     let defs = t.class_defs();
-    let w = m
-        .weight_source(0)
-        .expect("weights for the registered class");
-    let dot = tesla::automata::dot::render(&defs[0].automaton, &*w);
+    let class = m.class(0).expect("a record for the registered class");
+    let w = class.weights().expect("weights for the registered class");
+    let dot = tesla::automata::dot::render(&defs[0].automaton, w);
     assert!(dot.contains("×"), "session traffic must weight the graph");
     assert_eq!(dot.matches('{').count(), dot.matches('}').count());
 }
