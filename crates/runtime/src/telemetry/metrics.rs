@@ -367,6 +367,18 @@ type Spill = HashMap<(StateSet, SymbolId), u64, BuildHasherDefault<FoldHasher>>;
 /// way, from the lifecycle counters ([`ClassMetrics::live`]).
 pub struct ClassMetrics {
     name: OnceLock<String>,
+    weights: OnceLock<ClassWeights>,
+    spill: Mutex<Spill>,
+    life: Lifecycle,
+}
+
+/// A class's lifecycle counters and live peak, which every New, Clone
+/// and Finalise writes. They fill one cache line of their own, so
+/// those writes from one dispatch thread do not evict the table
+/// fields that every update on another thread reads.
+#[derive(Default)]
+#[repr(align(64))]
+struct Lifecycle {
     news: AtomicU64,
     clones: AtomicU64,
     accepted: AtomicU64,
@@ -375,24 +387,15 @@ pub struct ClassMetrics {
     evictions: AtomicU64,
     shed: AtomicU64,
     high_watermark: AtomicU64,
-    weights: OnceLock<ClassWeights>,
-    spill: Mutex<Spill>,
 }
 
 impl ClassMetrics {
     fn new() -> ClassMetrics {
         ClassMetrics {
             name: OnceLock::new(),
-            news: AtomicU64::new(0),
-            clones: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            overflows: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            high_watermark: AtomicU64::new(0),
             weights: OnceLock::new(),
             spill: Mutex::new(Spill::default()),
+            life: Lifecycle::default(),
         }
     }
 
@@ -407,38 +410,38 @@ impl ClassMetrics {
 
     /// Instance initialisations.
     pub fn news(&self) -> u64 {
-        self.news.load(Ordering::Relaxed)
+        self.life.news.load(Ordering::Relaxed)
     }
 
     /// Instance clones (variable specialisations).
     pub fn clones(&self) -> u64 {
-        self.clones.load(Ordering::Relaxed)
+        self.life.clones.load(Ordering::Relaxed)
     }
 
     /// Accepted finalisations.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.life.accepted.load(Ordering::Relaxed)
     }
 
     /// Rejected (violating) finalisations.
     pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
+        self.life.rejected.load(Ordering::Relaxed)
     }
 
     /// Preallocation overflows.
     pub fn overflows(&self) -> u64 {
-        self.overflows.load(Ordering::Relaxed)
+        self.life.overflows.load(Ordering::Relaxed)
     }
 
     /// Instances evicted under the [`crate::Config::max_instances`]
     /// quota (LRU policy).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.life.evictions.load(Ordering::Relaxed)
     }
 
     /// Clones shed by degraded mode after the quota tripped.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.life.shed.load(Ordering::Relaxed)
     }
 
     /// Currently live instances: `news + clones − accepted − rejected
@@ -453,7 +456,7 @@ impl ClassMetrics {
 
     /// Most instances ever live at once.
     pub fn high_watermark(&self) -> u64 {
-        self.high_watermark.load(Ordering::Relaxed)
+        self.life.high_watermark.load(Ordering::Relaxed)
     }
 
     /// The class's dense weight table, once registered — the
@@ -544,9 +547,9 @@ impl ClassMetrics {
     /// which case the (always correct) `fetch_max` runs.
     #[inline]
     fn raise_peak(&self) {
-        let now = self.balance();
-        if now > 0 && now as u64 > self.high_watermark.load(Ordering::Relaxed) {
-            self.high_watermark.fetch_max(now as u64, Ordering::Relaxed);
+        let (now, peak) = (self.balance(), &self.life.high_watermark);
+        if now > 0 && now as u64 > peak.load(Ordering::Relaxed) {
+            peak.fetch_max(now as u64, Ordering::Relaxed);
         }
     }
 }
@@ -987,7 +990,7 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_new(&self, class: u32) {
         self.with_class(class, |c| {
-            c.news.fetch_add(1, Ordering::Relaxed);
+            c.life.news.fetch_add(1, Ordering::Relaxed);
             c.raise_peak();
         });
     }
@@ -996,7 +999,7 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_clone(&self, class: u32) {
         self.with_class(class, |c| {
-            c.clones.fetch_add(1, Ordering::Relaxed);
+            c.life.clones.fetch_add(1, Ordering::Relaxed);
             c.raise_peak();
         });
     }
@@ -1038,7 +1041,11 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_finalise(&self, class: u32, accepted: bool) {
         self.with_class(class, |c| {
-            let n = if accepted { &c.accepted } else { &c.rejected };
+            let n = if accepted {
+                &c.life.accepted
+            } else {
+                &c.life.rejected
+            };
             n.fetch_add(1, Ordering::Relaxed);
         });
     }
@@ -1047,7 +1054,7 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_overflow(&self, class: u32) {
         self.with_class(class, |c| {
-            c.overflows.fetch_add(1, Ordering::Relaxed);
+            c.life.overflows.fetch_add(1, Ordering::Relaxed);
         });
     }
 
@@ -1055,7 +1062,7 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_eviction(&self, class: u32) {
         self.with_class(class, |c| {
-            c.evictions.fetch_add(1, Ordering::Relaxed);
+            c.life.evictions.fetch_add(1, Ordering::Relaxed);
         });
     }
 
@@ -1063,7 +1070,7 @@ impl MetricsRegistry {
     #[inline]
     pub(crate) fn record_shed(&self, class: u32) {
         self.with_class(class, |c| {
-            c.shed.fetch_add(1, Ordering::Relaxed);
+            c.life.shed.fetch_add(1, Ordering::Relaxed);
         });
     }
 }
@@ -1216,6 +1223,17 @@ mod tests {
         let sym = a.site_sym;
         r.record_update(0, &merged, sym);
         assert_eq!(r.class(0).unwrap().count(&merged, sym), 1);
+    }
+
+    #[test]
+    fn lifecycle_counters_share_no_line_with_the_table() {
+        let c = ClassMetrics::new();
+        let line = |p: usize| p / 64;
+        let life = &c.life as *const Lifecycle as usize;
+        let life_lines = line(life)..=line(life + std::mem::size_of::<Lifecycle>() - 1);
+        let table = &c.weights as *const OnceLock<ClassWeights> as usize;
+        let end = table + std::mem::size_of::<OnceLock<ClassWeights>>() - 1;
+        assert!(!life_lines.contains(&line(table)) && !life_lines.contains(&line(end)));
     }
 
     #[test]
